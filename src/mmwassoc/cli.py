@@ -65,7 +65,6 @@ def _cmd_simulate(args) -> int:
         schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
         n_runs=args.runs,
         r_max_sweep=tuple(float(v) for v in args.rmax_sweep.split(",")),
-        output_path=args.out,
         exact_node_budget=args.exact_budget,
         measure_time=args.measure_time,
     )

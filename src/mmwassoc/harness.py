@@ -55,7 +55,6 @@ class ExperimentSpec:
     schemes: tuple = SCHEMES
     n_runs: int = 30
     r_max_sweep: tuple = (0.5e9, 1e9, 2e9, 4e9, 8e9)
-    output_path: str = "results"
     exact_node_budget: int = step1.DEFAULT_NODE_BUDGET
     measure_time: bool = False
 
@@ -123,10 +122,14 @@ def run_two_step(
         first = step1.round_solution(step1.solve_step1_lp(inst), inst)
     else:
         raise ValueError(f"solver_choice must be one of {SOLVER_CHOICES}")
+    return complete_two_step(inst, first)
+
+
+def complete_two_step(inst: AssociationInstance, first: AssociationSolution) -> TwoStepResult:
+    """Step 2 on what a step-1 solution leaves free, merged with it."""
     res = step2flow.make_residual(inst, first)
-    second = step2flow.solve_step2(res)
     return TwoStepResult(
-        combined=merge_solutions(inst, first, res, second),
+        combined=merge_solutions(inst, first, res, step2flow.solve_step2(res)),
         step1_solution=first,
         residual=res,
     )
@@ -179,10 +182,8 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
                     warnings.warn(
                         f"run {run_id}, r_max {r_max:g}: {exc}; recording the incumbent"
                     )
-                    first = exc.incumbent
-                    res = step2flow.make_residual(inst, first)
-                    sol = merge_solutions(inst, first, res, step2flow.solve_step2(res))
-                    chains = int(first.x.sum())
+                    sol = complete_two_step(inst, exc.incumbent).combined
+                    chains = int(exc.incumbent.x.sum())
                 elapsed_ms = (time.perf_counter() - start) * 1e3
                 m = metrics(inst, sol)
                 records.append(

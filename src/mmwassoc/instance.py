@@ -121,6 +121,11 @@ def instance_from_capacity(cm, rate_req, cfg) -> AssociationInstance:
     return make_instance(cm.c, rate_req, cfg.n_ue_rf, cfg.n_bs_rf)
 
 
+def _per_ue(inst: AssociationInstance, per_chain: np.ndarray) -> np.ndarray:
+    """Sum a per-UE-chain quantity over the chains of each UE."""
+    return np.bincount(inst.ue_of_chain, weights=per_chain, minlength=inst.n_ue)
+
+
 def solution_from_x(inst: AssociationInstance, x: np.ndarray, z=None) -> AssociationSolution:
     """Complete a solution from x: derive per-UE rates and, unless given, z.
 
@@ -129,13 +134,9 @@ def solution_from_x(inst: AssociationInstance, x: np.ndarray, z=None) -> Associa
     x = np.asarray(x)
     if x.shape != inst.c.shape:
         raise ValueError(f"x shape {x.shape} does not match instance {inst.c.shape}")
-    rate_per_chain = (x * inst.c).sum(axis=1)
-    per_ue_rate = np.bincount(inst.ue_of_chain, weights=rate_per_chain, minlength=inst.n_ue)
+    per_ue_rate = _per_ue(inst, (x * inst.c).sum(axis=1))
     if z is None:
-        links_per_ue = np.bincount(
-            inst.ue_of_chain, weights=x.sum(axis=1), minlength=inst.n_ue
-        )
-        z = (links_per_ue > 0).astype(int)
+        z = (_per_ue(inst, x.sum(axis=1)) > 0).astype(int)
     return AssociationSolution(
         x=x.astype(int), z=np.asarray(z, dtype=int), per_ue_rate=per_ue_rate
     )
@@ -166,7 +167,7 @@ def check_feasibility(
         raise ValueError("x and z must be binary")
 
     violations: list[tuple[str, int]] = []
-    chains_per_ue = np.bincount(inst.ue_of_chain, weights=x.sum(axis=1), minlength=inst.n_ue)
+    chains_per_ue = _per_ue(inst, x.sum(axis=1))
     if "5b" in constraints:
         for j in np.flatnonzero(x.sum(axis=0) > 1):
             violations.append(("5b", int(j)))
@@ -181,8 +182,7 @@ def check_feasibility(
         for u in np.flatnonzero(chains_per_ue > z * inst.n_ue_rf):
             violations.append(("5e", int(u)))
     if "5f" in constraints:
-        rates = (x * inst.c).sum(axis=1)
-        per_ue = np.bincount(inst.ue_of_chain, weights=rates, minlength=inst.n_ue)
+        per_ue = _per_ue(inst, (x * inst.c).sum(axis=1))
         for u in np.flatnonzero(per_ue < z * inst.rate_req - RATE_TOL_BPS):
             violations.append(("5f", int(u)))
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))
@@ -202,12 +202,10 @@ def objective_step1(inst: AssociationInstance, sol: AssociationSolution) -> floa
 
 def metrics(inst: AssociationInstance, sol: AssociationSolution) -> SolutionMetrics:
     """Associated/satisfied UE counts and network sum rate, all from x."""
-    links_per_ue = np.bincount(inst.ue_of_chain, weights=sol.x.sum(axis=1), minlength=inst.n_ue)
     rates = (sol.x * inst.c).sum(axis=1)
-    per_ue = np.bincount(inst.ue_of_chain, weights=rates, minlength=inst.n_ue)
     return SolutionMetrics(
-        n_associated=int((links_per_ue > 0).sum()),
-        n_satisfied=int((per_ue >= inst.rate_req - RATE_TOL_BPS).sum()),
+        n_associated=int((_per_ue(inst, sol.x.sum(axis=1)) > 0).sum()),
+        n_satisfied=int((_per_ue(inst, rates) >= inst.rate_req - RATE_TOL_BPS).sum()),
         sum_rate_bps=float(rates.sum()),
     )
 

@@ -2,20 +2,26 @@
 
 BS RF chains not consumed by the requirement-satisfaction step are
 handed to the still-unassociated UEs so the network sum rate is
-maximized.  The assignment polytope maps onto a layered flow network
+maximized.  This is a rectangular assignment between free BS chains and
+free UE chains, solved on the unit-capacity network
 
-    source -> BS -> free BS chain -> free UE chain -> UE -> sink
+    source -> free BS chain -> free UE chain -> sink
 
-with unit capacities in the middle layers, per-BS budgets out of the
-source, and the per-UE chain cap into the sink.  Link edges carry cost
--c_ij, so a min-cost flow is exactly a max-sum-rate assignment; a
-zero-cost overflow edge source -> sink absorbs budget that no UE can
-use, keeping the full supply routable.  All capacities and supplies are
+plus a zero-cost overflow edge source -> sink.  Link edges carry cost
+-c_ij, so a min-cost flow is exactly a max-sum-rate assignment; the
+overflow absorbs the supply of BS chains that no UE chain can use,
+keeping the full supply routable.  All capacities and supplies are
 integers, hence an integral optimum always exists and the successive
 shortest-path solver returns one.
 
-The printed surrogate cost 1/(1 + c_ij) is available through
-cost_mode="inverse" for comparison; it is not sum-rate optimal.
+The network has no per-BS budget or per-UE cap layer because neither
+can bind: a BS's leftover budget equals its number of free chains, and
+every unassociated UE keeps all of its chains, so at most one link per
+chain already respects both.
+
+Ties between equal-value optima are not pinned: which of them comes
+back depends on the solver's path order.  Capacities of sampled
+scenarios are continuous, so there the optimum is unique.
 """
 
 from __future__ import annotations
@@ -23,14 +29,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import lp
 from .instance import AssociationInstance, AssociationSolution, empty_solution
-
-COST_MODES = ("neg-capacity", "inverse")
 
 
 @dataclass(frozen=True)
@@ -38,9 +41,9 @@ class ResidualInstance:
     """Free resources after step 1, restricted to unassociated UEs.
 
     ``c`` has one row per free UE chain and one column per free BS
-    chain; the *_ids arrays give their indices in the parent instance
-    and *_of arrays the owning device indices.  ``bs_budget`` counts the
-    remaining chains of every BS (zero for fully used ones).
+    chain; the *_ids arrays give their indices in the parent instance,
+    ``ue_ids`` the unassociated UEs in ascending order and
+    ``ue_of_chain`` the owning UE of every row.
     """
 
     c: np.ndarray
@@ -48,20 +51,10 @@ class ResidualInstance:
     bs_chain_ids: np.ndarray
     ue_ids: np.ndarray
     ue_of_chain: np.ndarray  # global UE index per row of c
-    bs_of_chain: np.ndarray  # global BS index per column of c
-    bs_budget: np.ndarray  # (n_bs,)
-    n_ue_rf: int
 
     def __post_init__(self) -> None:
         if self.c.shape != (len(self.ue_chain_ids), len(self.bs_chain_ids)):
             raise ValueError("capacity block does not match chain id lists")
-        free_counts = np.bincount(self.bs_of_chain, minlength=len(self.bs_budget))
-        if not np.array_equal(free_counts, self.bs_budget):
-            raise ValueError("bs_budget must equal the per-BS free-chain counts")
-
-    @property
-    def n_bs(self) -> int:
-        return len(self.bs_budget)
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,6 @@ class FlowNetwork:
     supply: int
     source: int
     sink: int
-    link_edges: dict  # edge index -> (row, col) of the residual capacity block
 
 
 def make_residual(inst: AssociationInstance, sol: AssociationSolution) -> ResidualInstance:
@@ -95,9 +87,6 @@ def make_residual(inst: AssociationInstance, sol: AssociationSolution) -> Residu
         bs_chain_ids=free_bs,
         ue_ids=na_ues,
         ue_of_chain=inst.ue_of_chain[na_rows],
-        bs_of_chain=inst.bs_of_chain[free_bs],
-        bs_budget=np.bincount(inst.bs_of_chain[free_bs], minlength=inst.n_bs),
-        n_ue_rf=inst.n_ue_rf,
     )
 
 
@@ -106,62 +95,35 @@ def full_residual(inst: AssociationInstance) -> ResidualInstance:
     return make_residual(inst, empty_solution(inst))
 
 
-def build_flow_network(res: ResidualInstance, cost_mode: str = "neg-capacity") -> FlowNetwork:
-    """Layered graph: s -> BS -> BS chain -> UE chain -> UE -> t (+ overflow).
+def build_flow_network(res: ResidualInstance) -> FlowNetwork:
+    """Assignment graph: s -> BS chain -> UE chain -> t (+ overflow s -> t).
 
-    Capacities: per-BS budget on s->BS, one everywhere in the middle,
-    n_ue_rf on UE->t.  Only the BS-chain/UE-chain edges carry cost.
+    Vertices are s = 0, BS chain k = 1 + k, UE chain m = 1 + n_cols + m
+    and t last.  Edges come in that order too: the n_cols source edges,
+    then the link edges k -> m (k outer, m inner) with cost -c[m, k], then
+    the n_rows sink edges, then the overflow.  Every edge but the
+    overflow has capacity one; the overflow takes the whole supply.
     """
-    if cost_mode not in COST_MODES:
-        raise ValueError(f"cost_mode must be one of {COST_MODES}")
     n_rows, n_cols = res.c.shape
-    n_bs = res.n_bs
-    n_ues = len(res.ue_ids)
-    v_bs = 1  # source is vertex 0
-    v_bchain = v_bs + n_bs
-    v_uchain = v_bchain + n_cols
-    v_ue = v_uchain + n_rows
-    sink = v_ue + n_ues
-    ue_pos = {int(u): q for q, u in enumerate(res.ue_ids)}
+    v_uchain = 1 + n_cols
+    sink = v_uchain + n_rows
 
-    edges: list[FlowEdge] = []
-    link_edges: dict = {}
-    for b in range(n_bs):
-        if res.bs_budget[b] > 0:
-            edges.append(FlowEdge(0, v_bs + b, int(res.bs_budget[b]), 0.0))
-    for k in range(n_cols):
-        edges.append(FlowEdge(v_bs + int(res.bs_of_chain[k]), v_bchain + k, 1, 0.0))
-    for k in range(n_cols):
-        for m in range(n_rows):
-            cap = float(res.c[m, k])
-            cost = -cap if cost_mode == "neg-capacity" else 1.0 / (1.0 + cap)
-            link_edges[len(edges)] = (m, k)
-            edges.append(FlowEdge(v_bchain + k, v_uchain + m, 1, cost))
-    for m in range(n_rows):
-        edges.append(FlowEdge(v_uchain + m, v_ue + ue_pos[int(res.ue_of_chain[m])], 1, 0.0))
-    for q in range(n_ues):
-        edges.append(FlowEdge(v_ue + q, sink, res.n_ue_rf, 0.0))
-    supply = int(res.bs_budget.sum())
-    edges.append(FlowEdge(0, sink, supply, 0.0))  # overflow absorbs unused budget
+    edges = [FlowEdge(0, 1 + k, 1, 0.0) for k in range(n_cols)]
+    edges += [
+        FlowEdge(1 + k, v_uchain + m, 1, -float(res.c[m, k]))
+        for k in range(n_cols)
+        for m in range(n_rows)
+    ]
+    edges += [FlowEdge(v_uchain + m, sink, 1, 0.0) for m in range(n_rows)]
+    edges.append(FlowEdge(0, sink, n_cols, 0.0))  # overflow absorbs unused BS chains
 
     return FlowNetwork(
         n_vertices=sink + 1,
         edges=tuple(edges),
-        supply=supply,
+        supply=n_cols,
         source=0,
         sink=sink,
-        link_edges=link_edges,
     )
-
-
-def dump_edge_list(net: FlowNetwork, path: str | Path | None = None) -> str:
-    """Plain text, one edge per line: tail head capacity cost."""
-    text = "\n".join(
-        f"{e.tail} {e.head} {e.capacity} {e.cost!r}" for e in net.edges
-    ) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
 
 
 def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
@@ -257,70 +219,37 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     return flow
 
 
-def solve_step2(res: ResidualInstance, cost_mode: str = "neg-capacity") -> AssociationSolution:
+def solve_step2(res: ResidualInstance) -> AssociationSolution:
     """Max-sum-rate assignment of the residual, indexed in residual space."""
     n_rows, n_cols = res.c.shape
     x = np.zeros((n_rows, n_cols), dtype=int)
-    if res.bs_budget.sum() > 0 and n_rows > 0:
-        net = build_flow_network(res, cost_mode=cost_mode)
-        flow = solve_min_cost_flow(net)
-        for edge_idx, (m, k) in net.link_edges.items():
-            if flow[edge_idx] > 0:
-                x[m, k] = 1
-    rate_per_chain = (x * res.c).sum(axis=1)
-    ue_pos = {int(u): q for q, u in enumerate(res.ue_ids)}
-    per_ue = np.zeros(len(res.ue_ids))
-    links = np.zeros(len(res.ue_ids))
-    for row in range(n_rows):
-        q = ue_pos[int(res.ue_of_chain[row])]
-        per_ue[q] += rate_per_chain[row]
-        links[q] += x[row].sum()
+    if res.c.size:
+        flow = solve_min_cost_flow(build_flow_network(res))
+        # The link edges follow the n_cols source edges, BS chain outer.
+        x = flow[n_cols : n_cols * (1 + n_rows)].reshape(n_cols, n_rows).T.astype(int)
+    ue_pos = np.searchsorted(res.ue_ids, res.ue_of_chain)
+    n_ues = len(res.ue_ids)
+    per_ue = np.bincount(ue_pos, weights=(x * res.c).sum(axis=1), minlength=n_ues)
+    links = np.bincount(ue_pos, weights=x.sum(axis=1), minlength=n_ues)
     return AssociationSolution(x=x, z=(links > 0).astype(int), per_ue_rate=per_ue)
 
 
 def relaxed_step2_lp(res: ResidualInstance) -> tuple[np.ndarray, float]:
     """Vertex optimum of the box-relaxed residual assignment problem.
 
-    Solved with the in-package simplex; by total unimodularity of the
-    flow structure the returned vertex is integral (see
-    verify_integrality).
+    Only the 5b rows (each free BS chain serves <= 1 UE chain) and 5c
+    rows (each free UE chain uses <= 1 BS chain) are needed; the budget
+    and cap rows are implied, as for the flow network.  Solved with the
+    in-package simplex; by total unimodularity of the bipartite
+    structure the returned vertex is integral (see verify_integrality).
     """
     n_rows, n_cols = res.c.shape
     nx = n_rows * n_cols
     if nx == 0:
         return np.zeros((n_rows, n_cols)), 0.0
-
-    def cell(i: int, j: int) -> int:
-        return i * n_cols + j
-
-    rows, rhs = [], []
-    for j in range(n_cols):  # each free BS chain serves <= 1 UE chain
-        row = np.zeros(nx)
-        row[[cell(i, j) for i in range(n_rows)]] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for i in range(n_rows):  # each free UE chain uses <= 1 BS chain
-        row = np.zeros(nx)
-        row[cell(i, 0) : cell(i, 0) + n_cols] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for b in range(res.n_bs):  # per-BS leftover budget
-        cols = np.flatnonzero(res.bs_of_chain == b)
-        if cols.size == 0:
-            continue
-        row = np.zeros(nx)
-        for j in cols:
-            row[[cell(i, int(j)) for i in range(n_rows)]] = 1.0
-        rows.append(row)
-        rhs.append(float(res.bs_budget[b]))
-    for u in res.ue_ids:  # per-UE chain cap
-        row = np.zeros(nx)
-        for i in np.flatnonzero(res.ue_of_chain == u):
-            row[cell(int(i), 0) : cell(int(i), 0) + n_cols] = 1.0
-        rows.append(row)
-        rhs.append(float(res.n_ue_rf))
-
-    sol = lp.solve_lp_max(res.c.ravel(), np.asarray(rows), np.asarray(rhs), np.ones(nx))
+    # Variable i * n_cols + j is the link (UE chain i, BS chain j).
+    a = np.vstack([np.tile(np.eye(n_cols), n_rows), np.repeat(np.eye(n_rows), n_cols, axis=1)])
+    sol = lp.solve_lp_max(res.c.ravel(), a, np.ones(n_cols + n_rows), np.ones(nx))
     return sol.x.reshape(n_rows, n_cols), sol.objective
 
 

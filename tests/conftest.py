@@ -69,18 +69,13 @@ def random_residual(
 ) -> step2flow.ResidualInstance:
     """Whole-UE residual with random per-BS free-chain counts."""
     rows = n_ues * n_ue_rf
-    free_per_bs = [int(rng.integers(1, max_free_per_bs + 1)) for _ in range(n_bs)]
-    cols = sum(free_per_bs)
-    bs_of = np.repeat(np.arange(n_bs), free_per_bs)
+    cols = sum(int(rng.integers(1, max_free_per_bs + 1)) for _ in range(n_bs))
     return step2flow.ResidualInstance(
         c=rng.uniform(0.0, 3e9, (rows, cols)),
         ue_chain_ids=np.arange(rows),
         bs_chain_ids=np.arange(cols),
         ue_ids=np.arange(n_ues),
         ue_of_chain=np.arange(rows) // n_ue_rf,
-        bs_of_chain=bs_of,
-        bs_budget=np.bincount(bs_of, minlength=n_bs),
-        n_ue_rf=n_ue_rf,
     )
 
 

@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import mmwassoc as m
-from mmwassoc import step2flow
-from mmwassoc.instance import solution_from_x
-from mmwassoc.step2flow import FlowEdge, FlowNetwork, dump_edge_list, relaxed_step2_lp
+from mmwassoc import harness, step2flow
+from mmwassoc.instance import STRUCTURAL_CONSTRAINTS, empty_solution, solution_from_x
+from mmwassoc.step2flow import FlowEdge, FlowNetwork, relaxed_step2_lp
 
-from conftest import canonical_value, pairs_of, random_residual, step2_oracle
+from conftest import (
+    canonical_value,
+    pairs_of,
+    random_instance,
+    random_residual,
+    step2_oracle,
+)
 
 
 def single_link_residual(cap=2e9):
@@ -18,9 +25,6 @@ def single_link_residual(cap=2e9):
         bs_chain_ids=np.array([0]),
         ue_ids=np.array([0]),
         ue_of_chain=np.array([0]),
-        bs_of_chain=np.array([0]),
-        bs_budget=np.array([1]),
-        n_ue_rf=1,
     )
 
 
@@ -39,7 +43,7 @@ def test_make_residual_strips_used_resources():
     np.testing.assert_array_equal(res.bs_chain_ids, [0, 2])
     np.testing.assert_array_equal(res.ue_chain_ids, [2, 3])  # UE 1's chains
     np.testing.assert_array_equal(res.ue_ids, [1])
-    np.testing.assert_array_equal(res.bs_budget, [2])
+    np.testing.assert_array_equal(res.ue_of_chain, [1, 1])
     np.testing.assert_array_equal(res.c, c[np.ix_([2, 3], [0, 2])])
 
 
@@ -48,21 +52,7 @@ def test_full_residual_covers_everything():
     inst = m.make_instance(c, np.array([1.0, 1.0]), n_ue_rf=2, n_bs_rf=3)
     res = step2flow.full_residual(inst)
     assert res.c.shape == (4, 6)
-    np.testing.assert_array_equal(res.bs_budget, [3, 3])
-
-
-def test_residual_validates_budget_consistency():
-    with pytest.raises(ValueError):
-        step2flow.ResidualInstance(
-            c=np.ones((1, 1)),
-            ue_chain_ids=np.array([0]),
-            bs_chain_ids=np.array([0]),
-            ue_ids=np.array([0]),
-            ue_of_chain=np.array([0]),
-            bs_of_chain=np.array([0]),
-            bs_budget=np.array([2]),  # claims two free chains, has one
-            n_ue_rf=1,
-        )
+    np.testing.assert_array_equal(res.bs_chain_ids, np.arange(6))
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +70,10 @@ def test_empty_residual_graph_has_zero_supply():
 
 def test_single_pair_graph_is_a_path_plus_overflow():
     net = step2flow.build_flow_network(single_link_residual())
-    assert net.n_vertices == 6  # s, BS, BS chain, UE chain, UE, t
+    assert net.n_vertices == 4  # s, BS chain, UE chain, t
     caps = [(e.tail, e.head, e.capacity) for e in net.edges]
-    assert caps == [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (0, 5, 1)]
-    link = net.edges[2]
+    assert caps == [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]
+    link = net.edges[1]
     assert link.cost == -2e9
     assert net.edges[-1].cost == 0.0  # overflow
 
@@ -92,7 +82,7 @@ def test_vertex_count_formula():
     rng = np.random.default_rng(12)
     res = random_residual(rng, n_ues=4, n_ue_rf=2, n_bs=3, max_free_per_bs=3)
     net = step2flow.build_flow_network(res)
-    want = 2 + res.n_bs + len(res.bs_chain_ids) + len(res.ue_chain_ids) + len(res.ue_ids)
+    want = 2 + len(res.bs_chain_ids) + len(res.ue_chain_ids)
     assert net.n_vertices == want
 
 
@@ -105,28 +95,10 @@ def test_vertex_and_edge_counts_after_dense_step1():
     first = m.round_solution(m.solve_step1_lp(inst), inst)
     res = step2flow.make_residual(inst, first)
     net = step2flow.build_flow_network(res)
-    n_free, n_rows, n_ues = len(res.bs_chain_ids), len(res.ue_chain_ids), len(res.ue_ids)
-    assert net.n_vertices == 2 + inst.n_bs + n_free + n_rows + n_ues
-    n_fed_bs = int(np.sum(res.bs_budget > 0))
-    assert len(net.edges) == n_fed_bs + n_free + n_free * n_rows + n_rows + n_ues + 1
-    assert net.supply == int(res.bs_budget.sum())
-
-
-def test_inverse_cost_mode():
-    net = step2flow.build_flow_network(single_link_residual(), cost_mode="inverse")
-    assert net.edges[2].cost == pytest.approx(1.0 / (1.0 + 2e9))
-    with pytest.raises(ValueError):
-        step2flow.build_flow_network(single_link_residual(), cost_mode="bogus")
-
-
-def test_dump_edge_list(tmp_path):
-    net = step2flow.build_flow_network(single_link_residual())
-    text = dump_edge_list(net, tmp_path / "edges.txt")
-    assert (tmp_path / "edges.txt").read_text() == text
-    lines = text.splitlines()
-    assert len(lines) == len(net.edges)
-    tail, head, cap, cost = lines[2].split()
-    assert (int(tail), int(head), int(cap), float(cost)) == (2, 3, 1, -2e9)
+    n_free, n_rows = len(res.bs_chain_ids), len(res.ue_chain_ids)
+    assert net.n_vertices == 2 + n_free + n_rows
+    assert len(net.edges) == n_free + n_free * n_rows + n_rows + 1
+    assert net.supply == n_free
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +110,7 @@ def test_single_path_routes_real_edge_over_overflow():
     net = step2flow.build_flow_network(single_link_residual())
     flow = step2flow.solve_min_cost_flow(net)
     # the negative-cost path beats the zero-cost overflow
-    assert flow.tolist() == [1, 1, 1, 1, 1, 0]
+    assert flow.tolist() == [1, 1, 1, 0]
 
 
 def test_two_parallel_chains_prefer_higher_capacity():
@@ -148,9 +120,6 @@ def test_two_parallel_chains_prefer_higher_capacity():
         bs_chain_ids=np.array([0]),
         ue_ids=np.array([0, 1]),
         ue_of_chain=np.array([0, 1]),
-        bs_of_chain=np.array([0]),
-        bs_budget=np.array([1]),
-        n_ue_rf=1,
     )
     sol = step2flow.solve_step2(res)
     assert sol.x.tolist() == [[0], [1]]
@@ -182,7 +151,6 @@ def test_malformed_graph_rejected():
                 supply=1,
                 source=0,
                 sink=1,
-                link_edges={},
             )
         )
     with pytest.raises(ValueError):
@@ -193,7 +161,6 @@ def test_malformed_graph_rejected():
                 supply=0,
                 source=0,
                 sink=1,
-                link_edges={},
             )
         )
 
@@ -209,7 +176,6 @@ def test_negative_cycle_rejected():
         supply=0,
         source=0,
         sink=2,
-        link_edges={},
     )
     with pytest.raises(ValueError, match="cycle"):
         step2flow.solve_min_cost_flow(net)
@@ -223,7 +189,6 @@ def test_unroutable_supply_rejected():
         supply=2,
         source=0,
         sink=2,
-        link_edges={},
     )
     with pytest.raises(ValueError, match="routed"):
         step2flow.solve_min_cost_flow(net)
@@ -252,18 +217,36 @@ def test_step2_matches_brute_force():
 
 
 def test_step2_respects_caps():
+    # The network has no budget or cap layer, so audit the merged
+    # two-step output: 5d is the per-BS budget, 5e the per-UE cap.
     rng = np.random.default_rng(41)
     for _ in range(20):
-        res = random_residual(rng, n_ues=3, n_ue_rf=2, n_bs=2, max_free_per_bs=4)
-        sol = step2flow.solve_step2(res)
-        assert np.all(sol.x.sum(axis=0) <= 1)  # BS chain exclusivity
-        assert np.all(sol.x.sum(axis=1) <= 1)  # UE chain exclusivity
-        for q, u in enumerate(res.ue_ids):
-            rows = np.flatnonzero(res.ue_of_chain == u)
-            assert sol.x[rows].sum() <= res.n_ue_rf
-        for b in range(res.n_bs):
-            cols = np.flatnonzero(res.bs_of_chain == b)
-            assert sol.x[:, cols].sum() <= res.bs_budget[b]
+        inst = random_instance(rng, n_ue=3, n_bs=2, n_ue_rf=2, n_bs_rf=4)
+        for first in (
+            m.round_solution(m.solve_step1_lp(inst), inst),
+            empty_solution(inst),
+        ):
+            res = step2flow.make_residual(inst, first)
+            sol = step2flow.solve_step2(res)
+            assert np.all(sol.x.sum(axis=0) <= 1)  # BS chain exclusivity
+            assert np.all(sol.x.sum(axis=1) <= 1)  # UE chain exclusivity
+            merged = harness.merge_solutions(inst, first, res, sol)
+            report = m.check_feasibility(inst, merged, STRUCTURAL_CONSTRAINTS)
+            assert report.feasible, report.violations
+
+
+def test_step2_matches_scipy_assignment_at_dense_scale():
+    # Full and post-rounding residuals of full.cfg cells, far beyond brute
+    # force; continuous capacities make the optimum, hence x, unique.
+    cfg = m.ScenarioConfig()  # the full.cfg scenario
+    for run_id in range(2):
+        for r_max in (0.5e9, 2e9, 8e9):
+            inst = harness.build_cell_instance(cfg, run_id, r_max)
+            first = m.round_solution(m.solve_step1_lp(inst), inst)
+            for res in (step2flow.full_residual(inst), step2flow.make_residual(inst, first)):
+                want = np.zeros(res.c.shape, dtype=int)
+                want[linear_sum_assignment(res.c, maximize=True)] = 1
+                np.testing.assert_array_equal(step2flow.solve_step2(res).x, want)
 
 
 # ---------------------------------------------------------------------------
