@@ -120,47 +120,31 @@ def _link_weights(inst: AssociationInstance) -> np.ndarray:
 
 
 def _relaxation_rows(inst: AssociationInstance):
-    """Constraint rows 5b-5f over variables [x (row-major), z]."""
+    """Constraint rows 5b, 5c, 5e, 5f over variables [x (row-major), z].
+
+    Rows come in that order: one 5b row per BS chain, one 5c row per UE
+    chain, then one 5e and one 5f row per UE.  The per-BS budget 5d gets
+    no rows: every BS owns exactly n_bs_rf chains, so summing its 5b rows
+    already bounds its active links by n_bs_rf.  The 5f rows are scaled
+    by 1/r_u so coefficients stay O(1) alongside the unit rows.
+    """
     n_uc, n_bc = inst.c.shape
+    n_ue = inst.n_ue
     nx = n_uc * n_bc
-    nv = nx + inst.n_ue
-
-    def cell(i: int, j: int) -> int:
-        return i * n_bc + j
-
-    rows, rhs = [], []
-    for j in range(n_bc):  # 5b: BS chain serves <= 1 UE chain
-        row = np.zeros(nv)
-        row[[cell(i, j) for i in range(n_uc)]] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for i in range(n_uc):  # 5c: UE chain uses <= 1 BS chain
-        row = np.zeros(nv)
-        row[cell(i, 0) : cell(i, 0) + n_bc] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for b in range(inst.n_bs):  # 5d: per-BS chain budget
-        row = np.zeros(nv)
-        for j in np.flatnonzero(inst.bs_of_chain == b):
-            row[[cell(i, j) for i in range(n_uc)]] = 1.0
-        rows.append(row)
-        rhs.append(float(inst.n_bs_rf))
-    for u in range(inst.n_ue):  # 5e: links only when flagged, <= n_ue_rf
-        row = np.zeros(nv)
-        for i in np.flatnonzero(inst.ue_of_chain == u):
-            row[cell(i, 0) : cell(i, 0) + n_bc] = 1.0
-        row[nx + u] = -float(inst.n_ue_rf)
-        rows.append(row)
-        rhs.append(0.0)
-    for u in range(inst.n_ue):  # 5f: flagged UEs meet their requirement
-        # Scaled by 1/r_u so coefficients stay O(1) alongside the unit rows.
-        row = np.zeros(nv)
-        for i in np.flatnonzero(inst.ue_of_chain == u):
-            row[cell(i, 0) : cell(i, 0) + n_bc] = -inst.c[i] / inst.rate_req[u]
-        row[nx + u] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    return np.asarray(rows), np.asarray(rhs)
+    cells = np.arange(nx).reshape(n_uc, n_bc)
+    ue = inst.ue_of_chain[:, None]
+    row_5e = n_bc + n_uc
+    row_5f = row_5e + n_ue
+    a = np.zeros((row_5f + n_ue, nx + n_ue))
+    a[np.arange(n_bc), cells] = 1.0  # 5b: BS chain serves <= 1 UE chain
+    a[n_bc + np.arange(n_uc)[:, None], cells] = 1.0  # 5c: UE chain uses <= 1 BS chain
+    a[row_5e + ue, cells] = 1.0  # 5e: links only when flagged, <= n_ue_rf
+    a[row_5f + ue, cells] = -inst.c / inst.rate_req[ue]  # 5f: flagged UEs meet r_u
+    z_cols = nx + np.arange(n_ue)
+    a[row_5e + np.arange(n_ue), z_cols] = -float(inst.n_ue_rf)
+    a[row_5f + np.arange(n_ue), z_cols] = 1.0
+    rhs = np.concatenate([np.ones(n_bc + n_uc), np.zeros(2 * n_ue)])
+    return a, rhs
 
 
 def solve_step1_lp(inst: AssociationInstance) -> FractionalSolution:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from conftest import (
     value_satisfied,
     value_satisfied_then_links,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +183,20 @@ def test_fractional_solution_validation():
         )
 
 
-def _scipy_relaxation_objective(inst):
+def _rows_5d(inst):
+    """The per-BS budget rows 5d, built from bs_of_chain alone."""
+    n_uc = inst.c.shape[0]
+    owns = inst.bs_of_chain == np.arange(inst.n_bs)[:, None]
+    a_5d = np.hstack([np.tile(owns, n_uc), np.zeros((inst.n_bs, inst.n_ue))])
+    return a_5d, np.full(inst.n_bs, float(inst.n_bs_rf))
+
+
+def _scipy_relaxation_objective(inst, with_5d=False):
     linprog = pytest.importorskip("scipy.optimize").linprog
     a_ub, b_ub = step1._relaxation_rows(inst)
+    if with_5d:
+        a_5d, b_5d = _rows_5d(inst)
+        a_ub, b_ub = np.vstack([a_ub, a_5d]), np.concatenate([b_ub, b_5d])
     w = step1._link_weights(inst)
     c_vec = np.concatenate([-w.ravel(), np.ones(inst.n_ue)])
     ref = linprog(-c_vec, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")
@@ -207,13 +222,39 @@ def test_lp_relaxation_matches_scipy_reference():
 
 
 def test_lp_relaxation_matches_scipy_at_dense_scale():
-    # The 30-UE/5-BS relaxation: 150 rows, 1530 variables.
+    # The 30-UE/5-BS relaxation: 145 rows, 1530 variables.
     cfg = m.ScenarioConfig(seed=0)
     real = m.sample_scenario(cfg)
     inst = m.instance_from_capacity(m.build_capacity_matrix(real, cfg), real.rate_req, cfg)
     frac = m.solve_step1_lp(inst)
     want = _scipy_relaxation_objective(inst)
     assert frac.lp_objective == pytest.approx(want, abs=1e-6)
+
+
+def test_lp_without_5d_rows_matches_lp_with_them():
+    # 5d is implied by 5b, so the relaxation leaves its rows out.  HiGHS
+    # on the rows plus explicit 5d rows must reach the same optimum, and
+    # the in-package optimum must satisfy 5d.
+    rng = np.random.default_rng(505)
+    insts = [
+        random_instance(
+            rng,
+            n_ue=int(rng.integers(2, 8)),
+            n_bs=int(rng.integers(1, 4)),
+            n_ue_rf=int(rng.integers(1, 4)),
+            n_bs_rf=int(rng.integers(1, 4)),
+        )
+        for _ in range(20)
+    ]
+    cfg = m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg")
+    real = m.sample_scenario(cfg)
+    insts.append(m.instance_from_capacity(m.build_capacity_matrix(real, cfg), real.rate_req, cfg))
+    for trial, inst in enumerate(insts):
+        frac = m.solve_step1_lp(inst)
+        want = _scipy_relaxation_objective(inst, with_5d=True)
+        assert frac.lp_objective == pytest.approx(want, abs=1e-7), f"trial {trial}"
+        per_bs = np.bincount(inst.bs_of_chain, weights=frac.x_frac.sum(axis=0), minlength=inst.n_bs)
+        assert np.all(per_bs <= inst.n_bs_rf + 1e-9), f"trial {trial}"
 
 
 # ---------------------------------------------------------------------------
