@@ -19,6 +19,7 @@ from .instance import (
     make_instance,
     metrics,
     objective_step1,
+    weight_term,
 )
 from .model import (
     CapacityMatrix,
@@ -34,12 +35,9 @@ from .model import (
 from .step1 import (
     FractionalSolution,
     NodeBudgetExceeded,
-    ScalarWeights,
-    optimal_weight_range,
     round_solution,
     solve_step1_exact,
     solve_step1_lp,
-    weight_term,
 )
 from .step2flow import (
     FlowNetwork,

@@ -188,15 +188,31 @@ def check_feasibility(
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))
 
 
-def objective_step1(inst: AssociationInstance, sol: AssociationSolution) -> float:
-    """Association score: sum(z) minus the per-link relative-capacity penalty.
+def weight_term(c_ij, r_u, n_ue_rf: int):
+    """Penalty of one active link: 1 / (n_ue_rf + 1 + c_ij / r_u).
 
-    Each active link (i, j) of UE u costs 1 / (n_ue_rf + 1 + c_ij / r_u),
-    so associating is always worth more than the chains it spends, and
+    Broadcasts over arrays of capacities and requirements.  Every penalty
+    lies in (0, 1/(n_ue_rf + 1)], inside the range of chain weights that
+    keeps the satisfied-UE count primary: with F1 the number of
+    associated UEs and F2 the negated number of active links, lam1*F1 +
+    lam2*F2 maximizes F1 with the fewest chains when
+    0 < lam2/lam1 < 1/n_ue_rf.
+    """
+    if np.any(np.asarray(r_u) <= 0):
+        raise ValueError("rate requirement must be > 0")
+    if np.any(np.asarray(c_ij) < 0):
+        raise ValueError("capacity must be >= 0")
+    w = 1.0 / (n_ue_rf + 1.0 + np.asarray(c_ij, dtype=float) / r_u)
+    return float(w) if np.ndim(w) == 0 else w
+
+
+def objective_step1(inst: AssociationInstance, sol: AssociationSolution) -> float:
+    """Association score: sum(z) minus the weight_term of every active link.
+
+    Associating is always worth more than the chains it spends, and
     higher-capacity links cost less.
     """
-    r_per_chain = inst.rate_req[inst.ue_of_chain]
-    weights = 1.0 / (inst.n_ue_rf + 1.0 + inst.c / r_per_chain[:, None])
+    weights = weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
     return float(sol.z.sum() - (sol.x * weights).sum())
 
 

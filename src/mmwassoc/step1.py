@@ -2,10 +2,10 @@
 
 Maximize the number of UEs whose rate requirement is met, spending as
 few BS RF chains as possible and preferring high-capacity links.  The
-score of a solution is
+score of a solution (instance.objective_step1) is
 
     sum_u z_u  -  sum over active links (i, j) of
-                  1 / (n_ue_rf + 1 + c_ij / r_u).
+                  weight_term(c_ij, r_u, n_ue_rf) = 1 / (n_ue_rf + 1 + c_ij / r_u).
 
 Every link penalty lies in (0, 1/(n_ue_rf + 1)], so with n_ue_rf links a
 UE still nets a positive gain, and the per-chain penalty keeps the chain
@@ -15,8 +15,10 @@ links from crowding out cheap-to-serve ones.
 Solvers:
   * solve_step1_exact: depth-first branch and bound over per-UE chain
     subsets, globally optimal, guarded by a node budget.
-  * solve_step1_lp: box relaxation solved by the in-package
-    bounded-variable simplex; an upper bound on the exact optimum.
+  * solve_step1_lp: box relaxation of constraints 5b, 5c, 5e and 5f,
+    solved by the in-package bounded-variable simplex; an upper bound on
+    the exact optimum.  The per-BS budget 5d needs no rows: 5b implies
+    it, since every BS owns exactly n_bs_rf chains.
   * round_solution: greedy demand-level rounding of the fractional
     point, always feasible.
 """
@@ -30,7 +32,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import lp
-from .instance import AssociationInstance, AssociationSolution, solution_from_x
+from .instance import AssociationInstance, AssociationSolution, solution_from_x, weight_term
 
 DEFAULT_NODE_BUDGET = 2_000_000
 SUPPORT_EPS = 1e-9
@@ -60,63 +62,9 @@ class FractionalSolution:
                 raise ValueError("fractional values must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ScalarWeights:
-    """Weights of the two-term scalarized objective lam1*F1 + lam2*F2.
-
-    F1 counts associated UEs, F2 is the negated number of active links.
-    F1 is maximized with the fewest chains exactly when
-    0 < lam2/lam1 < 1/n_ue_rf.
-    """
-
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self) -> None:
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ValueError("weights must be > 0")
-
-    def in_optimal_range(self, n_ue_rf: int) -> bool:
-        low, high = optimal_weight_range(n_ue_rf)
-        return low < self.lambda2 / self.lambda1 < high
-
-
-def scalarized_objective(sol: AssociationSolution, weights: ScalarWeights) -> float:
-    return float(weights.lambda1 * sol.z.sum() - weights.lambda2 * sol.x.sum())
-
-
-def weight_term(c_ij: float, r_u: float, n_ue_rf: int) -> float:
-    """Penalty of one active link: 1 / (n_ue_rf + 1 + c_ij / r_u)."""
-    if np.any(np.asarray(r_u) <= 0):
-        raise ValueError("rate requirement must be > 0")
-    if np.any(np.asarray(c_ij) < 0):
-        raise ValueError("capacity must be >= 0")
-    w = 1.0 / (n_ue_rf + 1.0 + np.asarray(c_ij, dtype=float) / r_u)
-    return float(w) if np.ndim(w) == 0 else w
-
-
-def optimal_weight_range(n_ue_rf: int) -> tuple[float, float]:
-    """Open interval of chain-penalty weights that keep F1 primary.
-
-    The default per-chain weight 1/(n_ue_rf + 1) sits strictly inside.
-    """
-    if n_ue_rf < 1:
-        raise ValueError("n_ue_rf must be >= 1")
-    return (0.0, 1.0 / n_ue_rf)
-
-
-def default_chain_weight(n_ue_rf: int) -> float:
-    return 1.0 / (n_ue_rf + 1)
-
-
 # ---------------------------------------------------------------------------
 # LP relaxation
 # ---------------------------------------------------------------------------
-
-
-def _link_weights(inst: AssociationInstance) -> np.ndarray:
-    r_per_chain = inst.rate_req[inst.ue_of_chain]
-    return 1.0 / (inst.n_ue_rf + 1.0 + inst.c / r_per_chain[:, None])
 
 
 def _relaxation_rows(inst: AssociationInstance):
@@ -151,7 +99,7 @@ def solve_step1_lp(inst: AssociationInstance) -> FractionalSolution:
     """Optimum of the box relaxation; an upper bound on any binary solution."""
     n_uc, n_bc = inst.c.shape
     nx = n_uc * n_bc
-    weights = _link_weights(inst)
+    weights = weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
     objective = np.concatenate([-weights.ravel(), np.ones(inst.n_ue)])
     a_ub, b_ub = _relaxation_rows(inst)
     res = lp.solve_lp_max(objective, a_ub, b_ub, np.ones(nx + inst.n_ue))
@@ -319,7 +267,7 @@ def solve_step1_exact(
     that reason).  Raises NodeBudgetExceeded (carrying the incumbent) if
     the tree outgrows node_budget.
     """
-    weights = _link_weights(inst)
+    weights = weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
     n_ue, n_bc = inst.n_ue, inst.c.shape[1]
 
     seed = round_solution(solve_step1_lp(inst), inst)

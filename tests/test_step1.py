@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import mmwassoc as m
 from mmwassoc import step1
-from mmwassoc.instance import solution_from_x
 
 from conftest import (
     literal_step1_best,
@@ -23,7 +22,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
-# weight_term / weight range / scalarization
+# weight_term
 # ---------------------------------------------------------------------------
 
 
@@ -42,26 +41,6 @@ def test_weight_term_rejects_zero_requirement():
 def test_weight_term_range(c, r, n):
     w = m.weight_term(c, r, n)
     assert 0.0 < w <= 1.0 / (n + 1)
-
-
-def test_optimal_weight_range():
-    assert m.optimal_weight_range(2) == (0.0, 0.5)
-    assert m.optimal_weight_range(1) == (0.0, 1.0)
-    assert m.optimal_weight_range(4) == (0.0, 0.25)
-    for n in (1, 2, 4):
-        low, high = m.optimal_weight_range(n)
-        assert low < step1.default_chain_weight(n) < high
-
-
-def test_scalar_weights():
-    w = m.ScalarWeights(lambda1=1.0, lambda2=1 / 3)
-    assert w.in_optimal_range(2)
-    assert not m.ScalarWeights(1.0, 0.75).in_optimal_range(2)
-    with pytest.raises(ValueError):
-        m.ScalarWeights(0.0, 0.1)
-    inst = m.make_instance(np.array([[2e9], [0.0]]), np.array([1e9]), 2, 1)
-    sol = solution_from_x(inst, np.array([[1], [0]]))
-    assert step1.scalarized_objective(sol, w) == pytest.approx(1 - 1 / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +176,7 @@ def _scipy_relaxation_objective(inst, with_5d=False):
     if with_5d:
         a_5d, b_5d = _rows_5d(inst)
         a_ub, b_ub = np.vstack([a_ub, a_5d]), np.concatenate([b_ub, b_5d])
-    w = step1._link_weights(inst)
+    w = m.weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
     c_vec = np.concatenate([-w.ravel(), np.ones(inst.n_ue)])
     ref = linprog(-c_vec, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")
     assert ref.status == 0
