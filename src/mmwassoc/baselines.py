@@ -21,27 +21,20 @@ def max_sum_rate(inst: AssociationInstance) -> AssociationSolution:
     return solution_from_x(inst, local.x)
 
 
-def max_snr(inst: AssociationInstance, bs_order=None) -> AssociationSolution:
+def max_snr(inst: AssociationInstance) -> AssociationSolution:
     """Sequential per-BS greedy: each chain takes the best free UE chain.
 
-    BSs are visited in bs_order (default ascending); capacity is the
-    monotone proxy for SNR at fixed bandwidth.  Zero-capacity pairings
-    are skipped; capacity ties go to the lowest UE chain index.
+    BSs are visited in ascending order; capacity is the monotone proxy
+    for SNR at fixed bandwidth.  Zero-capacity pairings are skipped;
+    capacity ties go to the lowest UE chain index.
     """
-    if bs_order is None:
-        bs_order = np.arange(inst.n_bs)
-    bs_order = np.asarray(bs_order, dtype=int)
-    if not np.array_equal(np.sort(bs_order), np.arange(inst.n_bs)):
-        raise ValueError(f"bs_order must be a permutation of 0..{inst.n_bs - 1}")
-
     x = np.zeros(inst.c.shape, dtype=int)
     free = np.ones(inst.n_ue_chains, dtype=bool)
-    for b in bs_order:
-        for j in np.flatnonzero(inst.bs_of_chain == b):
-            gains = np.where(free, inst.c[:, j], 0.0)
-            if gains.max(initial=0.0) <= 0.0:
-                continue
-            i = int(np.argmax(gains))  # argmax returns the lowest index on ties
-            x[i, j] = 1
-            free[i] = False
+    for j in np.argsort(inst.bs_of_chain, kind="stable"):
+        gains = np.where(free, inst.c[:, j], 0.0)
+        if gains.max(initial=0.0) <= 0.0:
+            continue
+        i = int(np.argmax(gains))  # argmax returns the lowest index on ties
+        x[i, j] = 1
+        free[i] = False
     return solution_from_x(inst, x)

@@ -149,14 +149,6 @@ class CapacityMatrix:
         if not np.all(np.isfinite(self.c)) or np.any(self.c < 0):
             raise ValueError("capacities must be finite and >= 0")
 
-    def to_csv(self, path: str | Path) -> None:
-        """Export as CSV: header row of BS chain indices, one row per UE chain."""
-        n_cols = self.c.shape[1]
-        lines = ["ue_chain," + ",".join(str(j) for j in range(n_cols))]
-        for i, row in enumerate(self.c):
-            lines.append(f"{i}," + ",".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 def steering_vector(angle: float, n: int) -> np.ndarray:
     """ULA spatial response: element k is exp(-j*pi*k*sin(angle)) / sqrt(n)."""

@@ -54,25 +54,6 @@ def test_max_snr_skips_zero_capacity():
     assert sol.x.sum() == 0 and sol.z.sum() == 0
 
 
-def test_max_snr_rejects_bad_order():
-    inst = m.make_instance(np.ones((2, 2)), np.array([1e9, 1e9]), 1, 1)
-    with pytest.raises(ValueError):
-        m.max_snr(inst, bs_order=[0, 0])
-    with pytest.raises(ValueError):
-        m.max_snr(inst, bs_order=[1])
-
-
-def test_max_snr_order_sensitivity():
-    # BS 0 grabs the shared best UE chain first; reversing the order
-    # changes who gets it.
-    c = np.array([[10e8, 9e8], [8e8, 1e8]])
-    inst = m.make_instance(c, np.array([1e9, 1e9]), 1, 1)
-    forward = m.max_snr(inst, bs_order=[0, 1])
-    backward = m.max_snr(inst, bs_order=[1, 0])
-    assert forward.x.tolist() == [[1, 0], [0, 1]]
-    assert backward.x.tolist() == [[0, 1], [1, 0]]
-
-
 def test_sequential_greed_strictly_worse_than_joint():
     # Hand-built 2x2: greedy gives BS0 -> UE0 (1.0) then BS1 -> UE1 (0.1),
     # sum 1.1 Gb/s; the joint optimum swaps to 0.9 + 0.8 = 1.7 Gb/s.

@@ -348,17 +348,6 @@ def test_capacity_matrix_rejects_mismatched_config():
         m.build_capacity_matrix(real, m.ScenarioConfig(n_bs=3, n_ue=2))
 
 
-def test_capacity_matrix_csv_export(tmp_path):
-    cm = m.CapacityMatrix(c=np.array([[1.5e9, 2.0e9], [0.0, 3.25e8]]))
-    path = tmp_path / "caps.csv"
-    cm.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "ue_chain,0,1"
-    assert lines[1].startswith("0,") and lines[2].startswith("1,")
-    parsed = [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
-    np.testing.assert_array_equal(np.array(parsed), cm.c)
-
-
 def test_capacity_matrix_rejects_negative():
     with pytest.raises(ValueError):
         m.CapacityMatrix(c=np.array([[-1.0]]))
