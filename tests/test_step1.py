@@ -162,20 +162,14 @@ def test_fractional_solution_validation():
         )
 
 
-def _rows_5d(inst):
-    """The per-BS budget rows 5d, built from bs_of_chain alone."""
-    n_uc = inst.c.shape[0]
-    owns = inst.bs_of_chain == np.arange(inst.n_bs)[:, None]
-    a_5d = np.hstack([np.tile(owns, n_uc), np.zeros((inst.n_bs, inst.n_ue))])
-    return a_5d, np.full(inst.n_bs, float(inst.n_bs_rf))
-
-
 def _scipy_relaxation_objective(inst, with_5d=False):
     linprog = pytest.importorskip("scipy.optimize").linprog
     a_ub, b_ub = step1._relaxation_rows(inst)
-    if with_5d:
-        a_5d, b_5d = _rows_5d(inst)
-        a_ub, b_ub = np.vstack([a_ub, a_5d]), np.concatenate([b_ub, b_5d])
+    if with_5d:  # the per-BS budget rows, built from bs_of_chain alone
+        owns = inst.bs_of_chain == np.arange(inst.n_bs)[:, None]
+        a_5d = np.hstack([np.tile(owns, inst.c.shape[0]), np.zeros((inst.n_bs, inst.n_ue))])
+        a_ub = np.vstack([a_ub, a_5d])
+        b_ub = np.concatenate([b_ub, np.full(inst.n_bs, float(inst.n_bs_rf))])
     w = m.weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
     c_vec = np.concatenate([-w.ravel(), np.ones(inst.n_ue)])
     ref = linprog(-c_vec, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")
