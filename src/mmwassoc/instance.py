@@ -33,6 +33,11 @@ ALL_CONSTRAINTS = ("5b", "5c", "5d", "5e", "5f")
 STRUCTURAL_CONSTRAINTS = ("5b", "5c", "5d", "5e")
 
 
+def _check_rf_counts(n_ue_rf: int, n_bs_rf: int) -> None:
+    if n_ue_rf < 1 or n_bs_rf < 1:
+        raise ValueError("n_ue_rf and n_bs_rf must be >= 1")
+
+
 @dataclass(frozen=True)
 class AssociationInstance:
     """Capacity matrix plus requirements and chain-ownership maps."""
@@ -45,6 +50,7 @@ class AssociationInstance:
     bs_of_chain: np.ndarray  # (n_bs_chains,) BS index per BS chain
 
     def __post_init__(self) -> None:
+        _check_rf_counts(self.n_ue_rf, self.n_bs_rf)
         n_uc, n_bc = self.c.shape
         if self.ue_of_chain.shape != (n_uc,) or self.bs_of_chain.shape != (n_bc,):
             raise ValueError("ownership maps must match capacity matrix shape")
@@ -56,8 +62,8 @@ class AssociationInstance:
             raise ValueError("each BS must own exactly n_bs_rf chains")
         if self.rate_req.shape != (self.n_ue,):
             raise ValueError("rate_req length must equal the number of UEs")
-        if np.any(self.rate_req <= 0):
-            raise ValueError("rate requirements must be > 0")
+        if not np.all(np.isfinite(self.rate_req)) or np.any(self.rate_req <= 0):
+            raise ValueError("rate requirements must be finite and > 0")
         if np.any(self.c < 0) or not np.all(np.isfinite(self.c)):
             raise ValueError("capacities must be finite and >= 0")
 
@@ -104,6 +110,7 @@ def make_instance(
     c: np.ndarray, rate_req: np.ndarray, n_ue_rf: int, n_bs_rf: int
 ) -> AssociationInstance:
     """Instance with canonical ownership: chain k belongs to device k // per-device count."""
+    _check_rf_counts(n_ue_rf, n_bs_rf)  # before the counts divide
     c = np.asarray(c, dtype=float)
     rate_req = np.asarray(rate_req, dtype=float)
     return AssociationInstance(

@@ -9,6 +9,14 @@ switches to Bland's smallest index, whose anti-cycling guarantee makes
 termination certain on the highly degenerate assignment polytopes this
 package produces.  The returned point is a basic feasible solution,
 i.e. a vertex of the feasible polytope.
+
+The tableau is stored dense, but a pivot touches only its nonzero
+block: the rows where the entering column is nonzero times the columns
+where the pivot row is nonzero, and the reduced costs of those columns.
+Every other entry would have had an exact zero subtracted, so the
+iterates are the ones a full rank-one update gives, bit for bit, at a
+small fraction of its cost (the relaxations here have a few nonzeros
+per column).
 """
 
 from __future__ import annotations
@@ -119,10 +127,14 @@ def solve_lp_max(objective, a_ub, b_ub, upper, max_iter: int = 200_000) -> LpSol
         if abs(piv) < _PIV_TOL:
             raise SimplexError("numerically singular pivot")
         tableau[r] /= piv
-        factor = tableau[:, j].copy()
-        factor[r] = 0.0
-        tableau -= np.outer(factor, tableau[r])
-        obj_row -= obj_row[j] * tableau[r]
+        # Only the nonzero block changes: elsewhere the rank-one update
+        # would subtract an exact zero.
+        rows = np.flatnonzero(tableau[:, j])
+        rows = rows[rows != r]
+        cols = np.flatnonzero(tableau[r])
+        pivot_row = tableau[r, cols]
+        tableau[np.ix_(rows, cols)] -= np.outer(tableau[rows, j], pivot_row)
+        obj_row[cols] -= obj_row[j] * pivot_row
 
         basis[r] = j
         in_basis[j] = True

@@ -104,7 +104,7 @@ def solve_step1_lp(inst: AssociationInstance) -> FractionalSolution:
     a_ub, b_ub = _relaxation_rows(inst)
     res = lp.solve_lp_max(objective, a_ub, b_ub, np.ones(nx + inst.n_ue))
     residual = a_ub @ res.x - b_ub
-    if residual.max(initial=0.0) > 1e-7:
+    if not residual.max(initial=0.0) <= 1e-7:  # a NaN residual fails too
         raise lp.SimplexError("relaxed constraints violated beyond tolerance")
     return FractionalSolution(
         x_frac=res.x[:nx].reshape(n_uc, n_bc),

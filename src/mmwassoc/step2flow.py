@@ -133,6 +133,12 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     Bellman-Ford pass seeds the node potentials (absorbing the negative
     link costs), then Dijkstra finds each augmenting path.  Integer
     capacities make every augmentation integral.
+
+    Both loops read one arc at a time, so the arc data live in Python
+    lists (arc 2k is edge k, arc 2k + 1 its reverse): indexing a list
+    returns a stored object, while indexing a numpy array boxes a new
+    scalar on every read, which costs several times the loop body.  The
+    arithmetic is the same float64 either way.
     """
     n = net.n_vertices
     for e in net.edges:
@@ -143,55 +149,58 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     if net.supply < 0:
         raise ValueError("supply must be >= 0")
 
-    m = len(net.edges)
-    to = np.empty(2 * m, dtype=int)
-    cap = np.empty(2 * m, dtype=np.int64)
-    cost = np.empty(2 * m, dtype=float)
+    to: list[int] = []
+    tail: list[int] = []
+    cap: list[int] = []
+    cost: list[float] = []
     adj: list[list[int]] = [[] for _ in range(n)]
-    for idx, e in enumerate(net.edges):
-        to[2 * idx], cap[2 * idx], cost[2 * idx] = e.head, int(e.capacity), e.cost
-        to[2 * idx + 1], cap[2 * idx + 1], cost[2 * idx + 1] = e.tail, 0, -e.cost
-        adj[e.tail].append(2 * idx)
-        adj[e.head].append(2 * idx + 1)
-    tail = np.empty(2 * m, dtype=int)
-    for idx, e in enumerate(net.edges):
-        tail[2 * idx], tail[2 * idx + 1] = e.tail, e.head
+    for e in net.edges:
+        adj[e.tail].append(len(to))
+        adj[e.head].append(len(to) + 1)
+        to += (int(e.head), int(e.tail))
+        tail += (int(e.tail), int(e.head))
+        cap += (int(e.capacity), 0)
+        cost += (float(e.cost), -float(e.cost))
 
-    # Bellman-Ford potentials from the source over positive-capacity edges.
-    pot = np.full(n, math.inf)
+    # Bellman-Ford potentials from the source over positive-capacity arcs;
+    # before any augmentation those are the forward arcs of capacity > 0.
+    live = [(tail[a], to[a], cost[a]) for a in range(0, len(to), 2) if cap[a] > 0]
+    pot = [math.inf] * n
     pot[net.source] = 0.0
     changed = True
     for _ in range(n):
         changed = False
-        for e in range(2 * m):
-            if cap[e] > 0 and pot[tail[e]] + cost[e] < pot[to[e]] - 1e-12:
-                pot[to[e]] = pot[tail[e]] + cost[e]
+        for u, v, w in live:
+            if pot[u] + w < pot[v] - 1e-12:
+                pot[v] = pot[u] + w
                 changed = True
         if not changed:
             break
     if changed:
         raise ValueError("graph contains a negative-cost cycle")
 
-    flow = np.zeros(m, dtype=np.int64)
+    flow = [0] * len(net.edges)
     remaining = int(net.supply)
-    dist = np.empty(n)
-    parent = np.empty(n, dtype=int)
     while remaining > 0:
-        dist.fill(math.inf)
-        parent.fill(-1)
+        dist = [math.inf] * n
+        parent = [-1] * n
+        done = [False] * n
         dist[net.source] = 0.0
         heap = [(0.0, net.source)]
-        done = np.zeros(n, dtype=bool)
         while heap:
             d, u = heapq.heappop(heap)
             if done[u]:
                 continue
             done[u] = True
+            pot_u = pot[u]
             for e in adj[u]:
                 v = to[e]
                 if cap[e] <= 0 or not math.isfinite(pot[v]):
                     continue
-                nd = d + max(cost[e] + pot[u] - pot[v], 0.0)
+                reduced = cost[e] + pot_u - pot[v]
+                if reduced < 0.0:  # max(reduced, 0.0): round-off below zero
+                    reduced = 0.0
+                nd = d + reduced
                 if nd < dist[v]:
                     dist[v] = nd
                     parent[v] = e
@@ -203,7 +212,7 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
         v = net.sink
         while v != net.source:
             e = parent[v]
-            push = min(push, int(cap[e]))
+            push = min(push, cap[e])
             v = tail[e]
         v = net.sink
         while v != net.source:
@@ -213,10 +222,11 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
             flow[e // 2] += push if e % 2 == 0 else -push
             v = tail[e]
         remaining -= push
-        finite = np.isfinite(dist)
-        pot[finite] += dist[finite]
+        for v in range(n):
+            if math.isfinite(dist[v]):
+                pot[v] += dist[v]
 
-    return flow
+    return np.array(flow, dtype=np.int64)
 
 
 def solve_step2(res: ResidualInstance) -> AssociationSolution:

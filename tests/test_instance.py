@@ -57,6 +57,28 @@ def test_instance_rejects_nonpositive_rates():
         m.make_instance(np.ones((2, 2)), np.array([1.0, 0.0]), 1, 1)
 
 
+def test_instance_rejects_nonfinite_rates():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            m.make_instance(np.ones((2, 2)), np.array([1.0, bad]), 1, 1)
+        data = instance_to_dict(small_instance())
+        data["rate_req_bps"][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            instance_from_dict(data)
+
+
+def test_instance_rejects_rf_counts_below_one():
+    with pytest.raises(ValueError, match="n_ue_rf"):
+        m.make_instance(np.ones((2, 2)), np.ones(2), 0, 1)
+    with pytest.raises(ValueError, match="n_bs_rf"):
+        m.make_instance(np.ones((2, 2)), np.ones(2), 1, 0)
+    for key in ("n_ue_rf", "n_bs_rf"):
+        data = instance_to_dict(small_instance())
+        data[key] = 0
+        with pytest.raises(ValueError, match=key):
+            instance_from_dict(data)
+
+
 def test_json_round_trip():
     inst = small_instance()
     again = instance_from_dict(instance_to_dict(inst))

@@ -1,10 +1,16 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from mmwassoc import lp
+import mmwassoc as m
+from mmwassoc import harness, lp
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_unconstrained_box():
@@ -86,3 +92,33 @@ def test_vertex_has_enough_tight_constraints(seed):
     tight += int(np.sum(np.abs(got.x) <= 1e-8))
     tight += int(np.sum(np.abs(got.x - u) <= 1e-8))
     assert tight >= len(c)
+
+
+# (config, run, r_max, pivots, sha256 of the LP's x) of step-1 relaxations,
+# recorded with the full rank-one pivot update.  The update restricted to
+# the nonzero block must reproduce them bit for bit.  The digests pin the
+# exact bits of the capacity matrix too, so they hold for this platform's
+# numpy and libm.
+STEP1_PINS = [
+    ("desk.cfg", 0, 1e9, 20, "cba548da96bb1446cfdd49e8213244c84de43f731fffdb14b34d7fd5a0589430"),
+    ("desk.cfg", 3, 4e9, 35, "aa98eeca87d58aa5c9091fc58a2017bd461d2703bc91586343b2b80dfe055374"),
+    ("full.cfg", 0, 2e9, 74, "c0bc99a1ad2485d9c9991ad42df394fd8aa9b0814a1b9f754f5221d9e2b9ec74"),
+    ("full.cfg", 1, 8e9, 71, "ed5d43be439bdfd751cbdf4d43b18b7d0f0fded85025c2d46b7ce20d2b1a4b23"),
+]
+
+
+@pytest.mark.parametrize("config, run_id, r_max, pivots, x_sha256", STEP1_PINS)
+def test_step1_lp_reproduces_pinned_vertices(monkeypatch, config, run_id, r_max, pivots, x_sha256):
+    solved = []
+    solve = lp.solve_lp_max
+
+    def recording(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(lp, "solve_lp_max", recording)
+    cfg = m.ScenarioConfig.from_config_file(CONFIGS / config)
+    m.solve_step1_lp(harness.build_cell_instance(cfg, run_id, r_max))
+    (sol,) = solved
+    assert sol.iterations == pivots
+    assert hashlib.sha256(sol.x.tobytes()).hexdigest() == x_sha256

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmwassoc as m
-from mmwassoc import step1
+from mmwassoc import lp, step1
 
 from conftest import (
     literal_step1_best,
@@ -202,6 +202,17 @@ def test_lp_relaxation_matches_scipy_at_dense_scale():
     frac = m.solve_step1_lp(inst)
     want = _scipy_relaxation_objective(inst)
     assert frac.lp_objective == pytest.approx(want, abs=1e-6)
+
+
+def test_lp_nan_residual_raises(monkeypatch):
+    # A NaN point must not pass the post-solve residual check silently.
+    def nan_point(objective, a_ub, b_ub, upper):
+        return lp.LpSolution(x=np.full(len(upper), np.nan), objective=np.nan, iterations=0)
+
+    monkeypatch.setattr(lp, "solve_lp_max", nan_point)
+    inst = m.make_instance(np.array([[2e9, 1e9], [1e9, 0.5e9]]), np.array([1e9]), 2, 2)
+    with pytest.raises(lp.SimplexError):
+        m.solve_step1_lp(inst)
 
 
 def test_lp_without_5d_rows_matches_lp_with_them():

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,8 @@ from conftest import (
     random_residual,
     step2_oracle,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def single_link_residual(cap=2e9):
@@ -247,6 +252,38 @@ def test_step2_matches_scipy_assignment_at_dense_scale():
                 want = np.zeros(res.c.shape, dtype=int)
                 want[linear_sum_assignment(res.c, maximize=True)] = 1
                 np.testing.assert_array_equal(step2flow.solve_step2(res).x, want)
+
+
+# (run, r_max, sha256 of the flow on the full residual, on the
+# post-rounding residual) of full.cfg cells, recorded with the numpy-array
+# loops; the list-native loops must reproduce them.  Like any digest of
+# sampled cells they hold for this platform's numpy and libm.
+FLOW_PINS = [
+    (
+        0,
+        2e9,
+        "c2e67997245297265fd176c61ebf3e4350f89fdaf0e928d3849dccf1a91fd9af",
+        "86dee6eece4582cf748a878f794495191d5d643feefd5b4f4f304893479c97e0",
+    ),
+    (
+        1,
+        8e9,
+        "f2d04d029d6dc2b09e20a2d6134d61ae025afca7a083f01c7d33873527ffbe57",
+        "7587db6bc7690e04b4b0a887d565b6be7b7d4ea65b42803255636f0b4d5354af",
+    ),
+]
+
+
+@pytest.mark.parametrize("run_id, r_max, full_sha256, post_sha256", FLOW_PINS)
+def test_min_cost_flow_reproduces_pinned_flows(run_id, r_max, full_sha256, post_sha256):
+    cfg = m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg")
+    inst = harness.build_cell_instance(cfg, run_id, r_max)
+    first = m.round_solution(m.solve_step1_lp(inst), inst)
+    residuals = (step2flow.full_residual(inst), step2flow.make_residual(inst, first))
+    for res, want in zip(residuals, (full_sha256, post_sha256)):
+        flow = step2flow.solve_min_cost_flow(step2flow.build_flow_network(res))
+        assert flow.dtype == np.int64
+        assert hashlib.sha256(flow.tobytes()).hexdigest() == want
 
 
 # ---------------------------------------------------------------------------
