@@ -1,5 +1,7 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from mmwassoc.instance import STRUCTURAL_CONSTRAINTS, instance_to_dict
 
 from conftest import random_instance
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DESK = m.ScenarioConfig(n_bs=3, n_ue=10, seed=7)
 
 
@@ -163,6 +166,49 @@ def test_emit_csv_byte_identical_across_runs(tmp_path):
     assert (
         tmp_path / "a/aggregates.csv"
     ).read_bytes() == (tmp_path / "b/aggregates.csv").read_bytes()
+
+
+# (config, schemes, runs, r_max sweep, sha256 of records.csv, of
+# aggregates.csv) of seed-0 sweeps, recorded before the flow network
+# became an edge array and the rounding sorted its links once.  Records
+# must stay byte-identical; this includes two-step-exact, which the
+# benchmark workloads do not run.  The digests hold for this platform's
+# numpy and libm.
+SWEEP_PINS = [
+    (
+        "desk.cfg",
+        harness.SCHEMES,
+        2,
+        (0.5e9, 2e9),
+        "3e7a1d692823a97911f01ca4dd115f3b14893d5dc7a13d58aa99cd18a3184afd",
+        "2bfc0f5f710e22d94eb4a065c46e3943ea137b9b6c66b7ec7b81a3ac2d4b9645",
+    ),
+    (
+        "full.cfg",
+        harness.SCHEMES[1:],  # the polynomial schemes
+        1,
+        harness.ExperimentSpec.r_max_sweep,
+        "a949860edc5d2267442a05662f614e53e3cad78204559d44b8471d9b0df6d10f",
+        "8d30a2b1dae2e16c1208939ce5ed6142485a5b8718bcae2eb6b839386e0d5ded",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, schemes, n_runs, r_max_sweep, rec_sha256, agg_sha256", SWEEP_PINS
+)
+def test_sweep_output_reproduces_pinned_bytes(
+    tmp_path, config, schemes, n_runs, r_max_sweep, rec_sha256, agg_sha256
+):
+    spec = harness.ExperimentSpec(
+        base=m.ScenarioConfig.from_config_file(CONFIGS / config),
+        schemes=schemes,
+        n_runs=n_runs,
+        r_max_sweep=r_max_sweep,
+    )
+    rec_path, agg_path = harness.emit_results(harness.run_experiment(spec), tmp_path)
+    assert hashlib.sha256(rec_path.read_bytes()).hexdigest() == rec_sha256
+    assert hashlib.sha256(agg_path.read_bytes()).hexdigest() == agg_sha256
 
 
 def test_emit_json(tmp_path):

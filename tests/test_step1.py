@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmwassoc as m
-from mmwassoc import lp, step1
+from mmwassoc import harness, lp, step1
 
 from conftest import (
     literal_step1_best,
@@ -328,6 +329,82 @@ def test_round_always_feasible_and_satisfying(seed):
     assert m.check_feasibility(inst, sol).feasible
     for u in np.flatnonzero(sol.z):
         assert sol.per_ue_rate[u] >= inst.rate_req[u] - 1e-6
+
+
+def _int_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# (config, run, r_max, sha256 of the rounded x, of its z) of relaxed
+# desk/full cells, recorded with the rounding that rebuilt every UE's
+# link list on every pick; the one-sort rounding must reproduce them.
+# Like any digest of sampled cells they hold for this platform's numpy
+# and libm.
+ROUND_PINS = [
+    (
+        "desk.cfg", 0, 1e9,
+        "f5a1aa79693633bc07ab4fb69bd4496d5c3f76d4c6aef3465214d3f310806fda",
+        "4e4f21db685b0c0d6e5dfb9db01da38eea091005f262bf3b878535d405dde26f",
+    ),
+    (
+        "desk.cfg", 3, 4e9,
+        "2cfac58926b7a128141f1beebb1bdca6a8e7998b5aa950c04b19567a296c3ad9",
+        "1982c7d96649955501ec281cd3fb7a353b21521cd023b1280fc8175ea05e51be",
+    ),
+    (
+        "full.cfg", 0, 2e9,
+        "3158cae8cda1bd924049b60569a15ee8b513f96193f9b4c64c26c190b2091560",
+        "21a11f4a0ad04e52fd8809ac51b845583c58642f3359c2d2c64d1c7a7c03bbfe",
+    ),
+    (
+        "full.cfg", 1, 8e9,
+        "e12975ef2b72554a826c9b78f11a7aa03e2423cf4d1f1c58552dda75ce7c2cf1",
+        "79039e4cf67c5dd31ce38fbdc1dd626b3d1fb1c5901515c874ee49b1ad3254b3",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, run_id, r_max, x_sha256, z_sha256", ROUND_PINS)
+def test_rounding_reproduces_pinned_cells(config, run_id, r_max, x_sha256, z_sha256):
+    cfg = m.ScenarioConfig.from_config_file(CONFIGS / config)
+    inst = harness.build_cell_instance(cfg, run_id, r_max)
+    sol = m.round_solution(m.solve_step1_lp(inst), inst)
+    assert _int_digest(sol.x) == x_sha256
+    assert _int_digest(sol.z) == z_sha256
+
+
+def _tied_partial_support(rng):
+    """A small instance on a coarse capacity grid, zeros included, with
+    a random fractional point whose support covers about half the links,
+    so equal-capacity ties and chains consumed by earlier picks occur."""
+    n_ue_rf, n_bs_rf = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    n_ue, n_bs = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    shape = (n_ue * n_ue_rf, n_bs * n_bs_rf)
+    c = rng.integers(0, 5, shape) * 0.5e9
+    inst = m.make_instance(c, rng.integers(1, 7, n_ue) * 0.5e9, n_ue_rf, n_bs_rf)
+    x_frac = np.where(rng.random(shape) < 0.5, rng.uniform(0.0, 1.0, shape), 0.0)
+    x_frac[rng.random(shape) < 0.05] = step1.SUPPORT_EPS  # on the edge: not support
+    return inst, step1.FractionalSolution(
+        x_frac=x_frac, z_frac=np.ones(n_ue), lp_objective=0.0
+    )
+
+
+# sha256 over the rounded x and z of 200 tied partial-support points
+# (seed 404), recorded with the per-pick rounding like ROUND_PINS.
+RANDOM_ROUND_SHA256 = "233d7d594a9808fa61e189b0bfa9450ae26f494b1c908d71693c75ff82997a5a"
+
+
+def test_rounding_reproduces_pinned_random_points():
+    rng = np.random.default_rng(404)
+    arrays = []
+    for _ in range(200):
+        inst, frac = _tied_partial_support(rng)
+        sol = m.round_solution(frac, inst)
+        arrays += [sol.x, sol.z]
+    assert _int_digest(*arrays) == RANDOM_ROUND_SHA256
 
 
 @settings(max_examples=40)
