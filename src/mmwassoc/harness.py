@@ -64,8 +64,11 @@ class ExperimentSpec:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}; choose from {SCHEMES}")
-        if any(r < self.base.r_min_bps for r in self.r_max_sweep):
-            raise ValueError("every sweep value must be >= the base r_min_bps")
+        if not all(self.base.r_min_bps <= r < np.inf for r in self.r_max_sweep):
+            raise ValueError("every sweep value must be finite and >= the base r_min_bps")
+        for name, values in (("schemes", self.schemes), ("r_max_sweep", self.r_max_sweep)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value")
 
 
 @dataclass(frozen=True)

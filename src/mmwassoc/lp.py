@@ -32,6 +32,7 @@ _PIV_TOL = 1e-11
 _FEAS_TOL = 1e-7
 # Degenerate pivots in a row before falling back to Bland's rule.
 _STALL_LIMIT = 40
+_MAX_PIVOTS = 200_000  # pivot cap; beyond it the solve raises SimplexError
 
 
 class SimplexError(RuntimeError):
@@ -45,7 +46,7 @@ class LpSolution:
     iterations: int
 
 
-def solve_lp_max(objective, a_ub, b_ub, upper, max_iter: int = 200_000) -> LpSolution:
+def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     """Maximize objective @ x subject to a_ub @ x <= b_ub, 0 <= x <= upper."""
     c = np.asarray(objective, dtype=float)
     a = np.atleast_2d(np.asarray(a_ub, dtype=float))
@@ -84,8 +85,8 @@ def solve_lp_max(objective, a_ub, b_ub, upper, max_iter: int = 200_000) -> LpSol
         eligible = np.flatnonzero(gain_low | gain_up)
         if eligible.size == 0:
             break
-        if iterations >= max_iter:
-            raise SimplexError(f"simplex did not converge within {max_iter} pivots")
+        if iterations >= _MAX_PIVOTS:
+            raise SimplexError(f"simplex did not converge within {_MAX_PIVOTS} pivots")
         iterations += 1
 
         if stall < _STALL_LIMIT:

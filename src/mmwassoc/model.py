@@ -72,8 +72,8 @@ class ScenarioConfig:
         for name in ("bandwidth_hz", "bs_spacing", "carrier_ghz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.r_min_bps > self.r_max_bps:
-            raise ValueError("r_min_bps must be <= r_max_bps")
+        if not 0 < self.r_min_bps <= self.r_max_bps < math.inf:  # NaN fails too
+            raise ValueError("rates must be finite with 0 < r_min_bps <= r_max_bps")
         if self.sigma_aod_deg < 0 or self.sigma_aoa_deg < 0:
             raise ValueError("angle-error sigmas must be >= 0")
         if self.seed < 0:

@@ -118,22 +118,20 @@ def solve_step1_lp(inst: AssociationInstance) -> FractionalSolution:
 # ---------------------------------------------------------------------------
 
 
-def _best_first_demand(masked: np.ndarray, rows: np.ndarray, r_u: float):
+def _best_first_demand(cells: list, free_bs: list, r_u: float):
     """Fewest conflict-free links of one UE whose capacities reach r_u.
 
-    Walks the UE's masked links best-first, skipping any link that
-    reuses an already-picked UE chain or BS chain, until the running sum
-    meets the requirement.  Returns (demand, picked (i, j) pairs, total)
-    or (None, (), 0.0) when even all links together fall short.
+    Walks the UE's sorted (capacity, i, j) cells, skipping retired BS
+    chains and links that reuse an already-picked UE or BS chain, until
+    the running sum meets the requirement.  Returns (demand, picked (i, j)
+    pairs, total) or (None, (), 0.0) when all links together fall short.
     """
-    cells = [(float(masked[i, j]), int(i), int(j)) for i in rows for j in np.flatnonzero(masked[i] > 0)]
-    cells.sort(key=lambda t: (-t[0], t[1], t[2]))
     picked: list[tuple[int, int]] = []
     used_i: set[int] = set()
     used_j: set[int] = set()
     total = 0.0
     for cap, i, j in cells:
-        if i in used_i or j in used_j:
+        if not free_bs[j] or i in used_i or j in used_j:
             continue
         picked.append((i, j))
         used_i.add(i)
@@ -144,28 +142,32 @@ def _best_first_demand(masked: np.ndarray, rows: np.ndarray, r_u: float):
     return None, (), 0.0
 
 
-def round_solution(
-    frac: FractionalSolution,
-    inst: AssociationInstance,
-    support_eps: float = SUPPORT_EPS,
-) -> AssociationSolution:
+def round_solution(frac: FractionalSolution, inst: AssociationInstance) -> AssociationSolution:
     """Greedy demand-level rounding of a fractional association.
 
-    Capacities are masked to the support of x* (entries > support_eps).
-    For each demand level n = 1..n_ue_rf: repeatedly find every UE whose
-    requirement needs exactly n masked links (best-first), associate the
-    one with the largest n-link aggregate (ties to the lowest UE index),
-    then retire its links' BS chains and all of its own entries.  UEs
-    whose remaining links cannot reach their requirement are skipped.
+    Candidate links are the support of x* (entries > SUPPORT_EPS) with
+    positive capacity, sorted once per UE: largest capacity first, ties
+    to the lower UE chain, then the lower BS chain.  For each demand
+    level n = 1..n_ue_rf: repeatedly find every UE whose requirement
+    needs exactly n free links (best-first), associate the one with the
+    largest n-link aggregate (ties to the lowest UE index), then retire
+    its links' BS chains.  One sort suffices: retiring chains only
+    removes links, and what remains of a sorted list is still sorted.
+    UEs whose free links cannot reach their requirement are skipped.
     The result always satisfies the full constraint set.
     """
     if frac.x_frac.shape != inst.c.shape:
         raise ValueError("fractional solution does not match instance shape")
-    masked = np.where(frac.x_frac > support_eps, inst.c, 0.0)
+    rows, cols = np.nonzero((frac.x_frac > SUPPORT_EPS) & (inst.c > 0))
+    caps = inst.c[rows, cols]
+    order = np.lexsort((cols, rows, -caps))
+    cells_of_ue: list[list] = [[] for _ in range(inst.n_ue)]
+    for cell in zip(caps[order].tolist(), rows[order].tolist(), cols[order].tolist()):
+        cells_of_ue[inst.ue_of_chain[cell[1]]].append(cell)
+
     x = np.zeros(inst.c.shape, dtype=int)
     z = np.zeros(inst.n_ue, dtype=int)
-    rows_of_ue = [np.flatnonzero(inst.ue_of_chain == u) for u in range(inst.n_ue)]
-
+    free_bs = [True] * inst.c.shape[1]
     for level in range(1, inst.n_ue_rf + 1):
         while True:
             best_u, best_total, best_pairs = -1, -np.inf, ()
@@ -173,7 +175,7 @@ def round_solution(
                 if z[u]:
                     continue
                 demand, pairs, total = _best_first_demand(
-                    masked, rows_of_ue[u], inst.rate_req[u]
+                    cells_of_ue[u], free_bs, inst.rate_req[u]
                 )
                 if demand == level and total > best_total:
                     best_u, best_total, best_pairs = u, total, pairs
@@ -182,8 +184,7 @@ def round_solution(
             z[best_u] = 1
             for i, j in best_pairs:
                 x[i, j] = 1
-                masked[:, j] = 0.0  # BS chain consumed
-            masked[rows_of_ue[best_u], :] = 0.0  # UE leaves the pool
+                free_bs[j] = False  # BS chain consumed
     return solution_from_x(inst, x, z)
 
 

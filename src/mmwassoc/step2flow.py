@@ -12,7 +12,8 @@ plus a zero-cost overflow edge source -> sink.  Link edges carry cost
 overflow absorbs the supply of BS chains that no UE chain can use,
 keeping the full supply routable.  All capacities and supplies are
 integers, hence an integral optimum always exists and the successive
-shortest-path solver returns one.
+shortest-path solver returns one.  The edges are one record array of
+dtype EDGE_DTYPE: int64 tail, head and capacity, float64 cost.
 
 The network has no per-BS budget or per-UE cap layer because neither
 can bind: a BS's leftover budget equals its number of free chains, and
@@ -57,20 +58,16 @@ class ResidualInstance:
             raise ValueError("capacity block does not match chain id lists")
 
 
-@dataclass(frozen=True)
-class FlowEdge:
-    tail: int
-    head: int
-    capacity: int
-    cost: float
+EDGE_DTYPE = np.dtype([("tail", "i8"), ("head", "i8"), ("capacity", "i8"), ("cost", "f8")])
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Directed graph with integer capacities; supply enters at source."""
+    """Directed graph whose edges are EDGE_DTYPE records (tail, head,
+    capacity, cost), edge k being flow entry k; supply enters at source."""
 
     n_vertices: int
-    edges: tuple[FlowEdge, ...]
+    edges: np.recarray
     supply: int
     source: int
     sink: int
@@ -105,21 +102,21 @@ def build_flow_network(res: ResidualInstance) -> FlowNetwork:
     overflow has capacity one; the overflow takes the whole supply.
     """
     n_rows, n_cols = res.c.shape
-    v_uchain = 1 + n_cols
-    sink = v_uchain + n_rows
-
-    edges = [FlowEdge(0, 1 + k, 1, 0.0) for k in range(n_cols)]
-    edges += [
-        FlowEdge(1 + k, v_uchain + m, 1, -float(res.c[m, k]))
-        for k in range(n_cols)
-        for m in range(n_rows)
-    ]
-    edges += [FlowEdge(v_uchain + m, sink, 1, 0.0) for m in range(n_rows)]
-    edges.append(FlowEdge(0, sink, n_cols, 0.0))  # overflow absorbs unused BS chains
-
+    bs = 1 + np.arange(n_cols)
+    ue = 1 + n_cols + np.arange(n_rows)
+    sink = 1 + n_cols + n_rows
+    edges = np.rec.fromarrays(
+        [
+            np.concatenate([np.zeros(n_cols, int), np.repeat(bs, n_rows), ue, [0]]),
+            np.concatenate([bs, np.tile(ue, n_cols), np.full(n_rows + 1, sink)]),
+            np.concatenate([np.ones(n_cols * (1 + n_rows) + n_rows, int), [n_cols]]),
+            np.concatenate([np.zeros(n_cols), -res.c.T.ravel(), np.zeros(n_rows + 1)]),
+        ],
+        dtype=EDGE_DTYPE,
+    )
     return FlowNetwork(
         n_vertices=sink + 1,
-        edges=tuple(edges),
+        edges=edges,
         supply=n_cols,
         source=0,
         sink=sink,
@@ -141,26 +138,23 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     arithmetic is the same float64 either way.
     """
     n = net.n_vertices
-    for e in net.edges:
-        if not (0 <= e.tail < n and 0 <= e.head < n):
-            raise ValueError(f"edge {e} references an unknown vertex")
-        if e.capacity < 0 or int(e.capacity) != e.capacity:
-            raise ValueError(f"edge {e} must have a non-negative integer capacity")
+    edges = net.edges
+    if edges.dtype != EDGE_DTYPE:  # its int64 capacity makes flows integral
+        raise ValueError(f"edges must have dtype EDGE_DTYPE, got {edges.dtype}")
+    if np.any((edges.tail < 0) | (edges.tail >= n) | (edges.head < 0) | (edges.head >= n)):
+        raise ValueError("an edge references an unknown vertex")
+    if np.any(edges.capacity < 0):
+        raise ValueError("edge capacities must be non-negative integers")
     if net.supply < 0:
         raise ValueError("supply must be >= 0")
 
-    to: list[int] = []
-    tail: list[int] = []
-    cap: list[int] = []
-    cost: list[float] = []
+    to = np.column_stack([edges.head, edges.tail]).ravel().tolist()
+    tail = np.column_stack([edges.tail, edges.head]).ravel().tolist()
+    cap = np.column_stack([edges.capacity, np.zeros_like(edges.capacity)]).ravel().tolist()
+    cost = np.column_stack([edges.cost, -edges.cost]).ravel().tolist()
     adj: list[list[int]] = [[] for _ in range(n)]
-    for e in net.edges:
-        adj[e.tail].append(len(to))
-        adj[e.head].append(len(to) + 1)
-        to += (int(e.head), int(e.tail))
-        tail += (int(e.tail), int(e.head))
-        cap += (int(e.capacity), 0)
-        cost += (float(e.cost), -float(e.cost))
+    for a, u in enumerate(tail):
+        adj[u].append(a)
 
     # Bellman-Ford potentials from the source over positive-capacity arcs;
     # before any augmentation those are the forward arcs of capacity > 0.

@@ -91,6 +91,21 @@ def test_spec_validation():
         tiny_spec(r_max_sweep=(0.1e9,))  # below r_min
 
 
+def test_spec_rejects_repeated_schemes_and_sweep_values():
+    # A repeat would emit duplicate records and inflate the aggregate n_runs.
+    with pytest.raises(ValueError, match="schemes"):
+        tiny_spec(schemes=("max-snr", "max-snr"))
+    with pytest.raises(ValueError, match="r_max_sweep"):
+        tiny_spec(r_max_sweep=(1e9, 1e9))
+
+
+def test_spec_rejects_nonfinite_sweep_values():
+    # derive_seed cannot round them to an integer seed.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_spec(r_max_sweep=(1e9, bad))
+
+
 def test_run_experiment_record_grid():
     records = harness.run_experiment(tiny_spec())
     assert len(records) == 2 * 2 * 2

@@ -188,6 +188,13 @@ def test_config_validation():
         m.ScenarioConfig(power_split_mode="nonsense")
 
 
+def test_config_rejects_nonfinite_or_nonpositive_rates():
+    nan, inf = float("nan"), float("inf")
+    for r_min, r_max in ((0.3e9, nan), (nan, 2e9), (0.3e9, inf), (0.0, 2e9), (-1e9, 2e9)):
+        with pytest.raises(ValueError, match="finite"):
+            m.ScenarioConfig(r_min_bps=r_min, r_max_bps=r_max)
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = m.ScenarioConfig(n_bs=3, n_ue=7, seed=99, r_max_bps=1.5e9)
     path = tmp_path / "scenario.cfg"

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 import mmwassoc as m
 from mmwassoc import harness, step2flow
 from mmwassoc.instance import STRUCTURAL_CONSTRAINTS, empty_solution, solution_from_x
-from mmwassoc.step2flow import FlowEdge, FlowNetwork, relaxed_step2_lp
+from mmwassoc.step2flow import EDGE_DTYPE, FlowNetwork, relaxed_step2_lp
 
 from conftest import (
     canonical_value,
@@ -21,6 +21,11 @@ from conftest import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def edge_array(*edges):
+    """Edge records (tail, head, capacity, cost) of a hand-built network."""
+    return np.rec.array(list(edges), dtype=EDGE_DTYPE)
 
 
 def single_link_residual(cap=2e9):
@@ -152,7 +157,7 @@ def test_malformed_graph_rejected():
         step2flow.solve_min_cost_flow(
             FlowNetwork(
                 n_vertices=2,
-                edges=(FlowEdge(0, 5, 1, 0.0),),
+                edges=edge_array((0, 5, 1, 0.0)),
                 supply=1,
                 source=0,
                 sink=1,
@@ -162,7 +167,19 @@ def test_malformed_graph_rejected():
         step2flow.solve_min_cost_flow(
             FlowNetwork(
                 n_vertices=2,
-                edges=(FlowEdge(0, 1, -1, 0.0),),
+                edges=edge_array((0, 1, -1, 0.0)),
+                supply=0,
+                source=0,
+                sink=1,
+            )
+        )
+    # A fractional capacity has no place in EDGE_DTYPE's int64 column.
+    float_caps = np.dtype([(name, float) for name in EDGE_DTYPE.names])
+    with pytest.raises(ValueError, match="EDGE_DTYPE"):
+        step2flow.solve_min_cost_flow(
+            FlowNetwork(
+                n_vertices=2,
+                edges=np.rec.array([(0, 1, 0.5, 0.0)], dtype=float_caps),
                 supply=0,
                 source=0,
                 sink=1,
@@ -173,11 +190,7 @@ def test_malformed_graph_rejected():
 def test_negative_cycle_rejected():
     net = FlowNetwork(
         n_vertices=3,
-        edges=(
-            FlowEdge(0, 1, 1, -1.0),
-            FlowEdge(1, 2, 1, -1.0),
-            FlowEdge(2, 0, 1, -1.0),
-        ),
+        edges=edge_array((0, 1, 1, -1.0), (1, 2, 1, -1.0), (2, 0, 1, -1.0)),
         supply=0,
         source=0,
         sink=2,
@@ -190,7 +203,7 @@ def test_unroutable_supply_rejected():
     # No overflow edge and not enough path capacity for the supply.
     net = FlowNetwork(
         n_vertices=3,
-        edges=(FlowEdge(0, 1, 1, 0.0), FlowEdge(1, 2, 1, 0.0)),
+        edges=edge_array((0, 1, 1, 0.0), (1, 2, 1, 0.0)),
         supply=2,
         source=0,
         sink=2,
