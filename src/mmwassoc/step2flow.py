@@ -27,6 +27,7 @@ scenarios are continuous, so there the optimum is unique.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -126,10 +127,29 @@ def build_flow_network(res: ResidualInstance) -> FlowNetwork:
 def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     """Integral min-cost flow of the full supply, one unit count per edge.
 
-    Successive shortest augmenting paths on reduced costs: one
+    Successive shortest augmenting paths on reduced costs (Ahuja,
+    Magnanti & Orlin, *Network Flows*, 1993, section 9.7): one
     Bellman-Ford pass seeds the node potentials (absorbing the negative
     link costs), then Dijkstra finds each augmenting path.  Integer
     capacities make every augmentation integral.
+
+    Dijkstra stops as soon as it settles the sink, and each potential
+    then grows by min(dist[v], dist[sink]), a vertex left unlabelled
+    counting as dist[sink].  Every vertex still in the heap has a label
+    of at least dist[sink], so this keeps every residual reduced cost
+    non-negative, which the next search needs.  Supply is unroutable
+    when the sink is never settled.
+
+    Dijkstra scans only live arcs: adj[u] holds u's arcs of positive
+    capacity in increasing arc order, the order in which a scan of all
+    of u's arcs would meet them, so ties fall the same way.  An arc
+    leaves its list when an augmentation saturates it and rejoins it
+    (by bisect.insort) when its reverse carries flow again.  Arcs into
+    vertices Bellman-Ford cannot reach are never listed: augmentations
+    add reverse arcs only between vertices of a path, so no arc into
+    those vertices ever appears.  A head already settled is skipped,
+    since with non-negative reduced costs relaxing it cannot lower its
+    label.
 
     Both loops read one arc at a time, so the arc data live in Python
     lists (arc 2k is edge k, arc 2k + 1 its reverse): indexing a list
@@ -152,9 +172,6 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     tail = np.column_stack([edges.tail, edges.head]).ravel().tolist()
     cap = np.column_stack([edges.capacity, np.zeros_like(edges.capacity)]).ravel().tolist()
     cost = np.column_stack([edges.cost, -edges.cost]).ravel().tolist()
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, u in enumerate(tail):
-        adj[u].append(a)
 
     # Bellman-Ford potentials from the source over positive-capacity arcs;
     # before any augmentation those are the forward arcs of capacity > 0.
@@ -173,23 +190,32 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     if changed:
         raise ValueError("graph contains a negative-cost cycle")
 
-    flow = [0] * len(net.edges)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, u in enumerate(tail):
+        if cap[a] > 0 and pot[to[a]] < math.inf:
+            adj[u].append(a)
+    reached = [v for v in range(n) if pot[v] < math.inf]
+
+    source, sink = net.source, net.sink
+    flow = [0] * len(edges)
     remaining = int(net.supply)
     while remaining > 0:
         dist = [math.inf] * n
         parent = [-1] * n
         done = [False] * n
-        dist[net.source] = 0.0
-        heap = [(0.0, net.source)]
+        dist[source] = 0.0
+        heap = [(0.0, source)]
         while heap:
             d, u = heapq.heappop(heap)
             if done[u]:
                 continue
             done[u] = True
+            if u == sink:
+                break
             pot_u = pot[u]
             for e in adj[u]:
                 v = to[e]
-                if cap[e] <= 0 or not math.isfinite(pot[v]):
+                if done[v]:
                     continue
                 reduced = cost[e] + pot_u - pot[v]
                 if reduced < 0.0:  # max(reduced, 0.0): round-off below zero
@@ -199,26 +225,31 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
                     dist[v] = nd
                     parent[v] = e
                     heapq.heappush(heap, (nd, v))
-        if not math.isfinite(dist[net.sink]):
+        if not done[sink]:
             raise ValueError("supply cannot be routed to the sink")
 
         push = remaining
-        v = net.sink
-        while v != net.source:
+        v = sink
+        while v != source:
             e = parent[v]
             push = min(push, cap[e])
             v = tail[e]
-        v = net.sink
-        while v != net.source:
+        v = sink
+        while v != source:
             e = parent[v]
+            v = tail[e]
             cap[e] -= push
+            if cap[e] == 0:
+                arcs = adj[v]
+                del arcs[bisect.bisect_left(arcs, e)]
+            if cap[e ^ 1] == 0:
+                bisect.insort(adj[to[e]], e ^ 1)
             cap[e ^ 1] += push
             flow[e // 2] += push if e % 2 == 0 else -push
-            v = tail[e]
         remaining -= push
-        for v in range(n):
-            if math.isfinite(dist[v]):
-                pot[v] += dist[v]
+        d_sink = dist[sink]
+        for v in reached:
+            pot[v] += dist[v] if dist[v] < d_sink else d_sink
 
     return np.array(flow, dtype=np.int64)
 

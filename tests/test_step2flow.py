@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment, linprog
 
 import mmwassoc as m
 from mmwassoc import harness, step2flow
@@ -210,6 +211,98 @@ def test_unroutable_supply_rejected():
     )
     with pytest.raises(ValueError, match="routed"):
         step2flow.solve_min_cost_flow(net)
+
+
+@st.composite
+def general_networks(draw):
+    """Small networks of a shape build_flow_network never makes.
+
+    Capacities reach 4, up to 12 intermediate vertices lie between the
+    source and the sink, parallel edges and vertices the source cannot
+    reach are common, and supply may exceed what the edges can carry.
+    Costs go negative only when every edge points to a higher vertex, so
+    the graph is a DAG and has no negative cycle.
+    """
+    n = draw(st.integers(2, 14))
+    dag = draw(st.booleans())
+    records = []
+    for _ in range(draw(st.integers(1, 60))):
+        if dag:
+            tail = draw(st.integers(0, n - 2))
+            head = draw(st.integers(tail + 1, n - 1))
+        else:
+            tail = draw(st.integers(0, n - 1))
+            head = draw(st.integers(0, n - 1).filter(lambda h, t=tail: h != t))
+        cost = draw(st.integers(-500 if dag else 0, 1000)) / 100
+        records.append((tail, head, draw(st.integers(0, 4)), cost))
+    return FlowNetwork(
+        n_vertices=n,
+        edges=edge_array(*records),
+        supply=draw(st.integers(0, 8)),
+        source=0,
+        sink=n - 1,
+    )
+
+
+def node_arc_lp(net):
+    """scipy HiGHS on the node-arc LP: min cost.f, out - in = b, 0 <= f <= cap."""
+    e = net.edges
+    arcs = np.arange(len(e))
+    a_eq = np.zeros((net.n_vertices, len(e)))
+    a_eq[e.tail, arcs] += 1.0
+    a_eq[e.head, arcs] -= 1.0
+    b_eq = np.zeros(net.n_vertices)
+    b_eq[net.source] += net.supply
+    b_eq[net.sink] -= net.supply
+    bounds = np.column_stack([np.zeros(len(e)), e.capacity])
+    return linprog(e.cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+
+
+@settings(max_examples=400)
+@given(general_networks())
+def test_min_cost_flow_matches_node_arc_lp_on_general_networks(net):
+    want = node_arc_lp(net)
+    assert want.status in (0, 2)  # optimal or infeasible; never unbounded
+    if want.status == 2:
+        with pytest.raises(ValueError, match="routed"):
+            step2flow.solve_min_cost_flow(net)
+        return
+    flow = step2flow.solve_min_cost_flow(net)
+    e = net.edges
+    assert flow.dtype == np.int64
+    assert np.all((flow >= 0) & (flow <= e.capacity))
+    balance = np.zeros(net.n_vertices, dtype=np.int64)
+    np.add.at(balance, e.tail, -flow)
+    np.add.at(balance, e.head, flow)
+    want_balance = np.zeros(net.n_vertices, dtype=np.int64)
+    want_balance[net.source] = -net.supply
+    want_balance[net.sink] = net.supply
+    np.testing.assert_array_equal(balance, want_balance)
+    assert float(flow @ e.cost) == pytest.approx(want.fun, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=200)
+@given(
+    arrays(
+        float,
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        elements=st.sampled_from([0.0, 1e9, 2e9, 3e9]),
+    )
+)
+def test_step2_matches_assignment_objective_with_tied_and_zero_capacities(c):
+    rows, cols = c.shape
+    res = step2flow.ResidualInstance(
+        c=c,
+        ue_chain_ids=np.arange(rows),
+        bs_chain_ids=np.arange(cols),
+        ue_ids=np.arange(rows),
+        ue_of_chain=np.arange(rows),
+    )
+    x = step2flow.solve_step2(res).x
+    assert set(np.unique(x)) <= {0, 1}
+    assert np.all(x.sum(axis=0) <= 1) and np.all(x.sum(axis=1) <= 1)
+    # Multiples of 1e9 up to 18e9 add exactly in any order.
+    assert (x * c).sum() == c[linear_sum_assignment(c, maximize=True)].sum()
 
 
 # ---------------------------------------------------------------------------
