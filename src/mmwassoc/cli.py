@@ -6,8 +6,9 @@
 `simulate` runs a Monte Carlo sweep from a scenario config file and
 writes records plus aggregates; `solve` runs one scheme on a single
 instance JSON and prints the solved instance (x, z, metrics).  Exit
-codes: 0 on success, 2 when the exact search runs out of node budget in
-solve mode.
+codes: 0 on success; 2 when simulate is given an invalid config, sweep
+or run count (one `error:` line on stderr), or when the exact search
+runs out of node budget in solve mode.
 """
 
 from __future__ import annotations
@@ -57,17 +58,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = ScenarioConfig.from_config_file(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    spec = harness.ExperimentSpec(
-        base=cfg,
-        schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
-        n_runs=args.runs,
-        r_max_sweep=tuple(float(v) for v in args.rmax_sweep.split(",")),
-        exact_node_budget=args.exact_budget,
-        measure_time=args.measure_time,
-    )
+    try:
+        cfg = ScenarioConfig.from_config_file(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        spec = harness.ExperimentSpec(
+            base=cfg,
+            schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
+            n_runs=args.runs,
+            r_max_sweep=tuple(float(v) for v in args.rmax_sweep.split(",")),
+            exact_node_budget=args.exact_budget,
+            measure_time=args.measure_time,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     records = harness.run_experiment(spec)
     rec_path, agg_path = harness.emit_results(records, args.out, args.format)
     print(f"wrote {len(records)} records to {rec_path} (aggregates: {agg_path})")

@@ -337,6 +337,21 @@ def test_cli_simulate_json_format(tmp_path):
     assert parsed[0]["scheme"] == "max-snr"
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--rmax-sweep", "1e9,1e9"), ("--runs", "0"), ("--rmax-sweep", "abc")],
+)
+def test_cli_simulate_invalid_spec_exits_2_with_one_error_line(tmp_path, capsys, flag, value):
+    cfg_path = tmp_path / "desk.cfg"
+    replace(DESK, n_ue=4).to_config_file(cfg_path)
+    args = ["simulate", "--config", str(cfg_path), "--runs", "1", "--rmax-sweep", "1e9"]
+    args += [flag, value, "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_solve(tmp_path, capsys):
     rng = np.random.default_rng(91)
     inst = random_instance(rng, 3, 2, 2, 2)
