@@ -259,7 +259,8 @@ def solve_step1_exact(
     Branches per UE over its minimal satisfying chain sets (or none).
     Pruning uses an admissible fractional-knapsack bound (each remaining
     UE offers at best its top standalone gain at the cost of its
-    smallest chain demand, packed into the free-chain count) plus state
+    smallest chain demand, packed into the free-chain count; tabulated
+    once per solve over (UE, free-chain count)) plus state
     dominance: two prefixes reaching the same (UE, used-chain mask)
     state admit identical completions, so an arrival scoring strictly
     below an earlier one is dead.  The incumbent is seeded from the
@@ -307,6 +308,9 @@ def solve_step1_exact(
                 break
         return total
 
+    # The bound depends only on (u, free_count), so tabulate it once.
+    bound = [[knapsack_bound(u, f) for f in range(n_bc + 1)] for u in range(n_ue + 1)]
+
     best_score = 0.0
     best_pairs: tuple = ()
     if seed_score > best_score + _TIE_EPS:
@@ -335,7 +339,7 @@ def solve_step1_exact(
             ):
                 best_pairs = tuple(stack_pairs)
             return
-        if score + knapsack_bound(u, free_count) < best_score - _TIE_EPS:
+        if score + bound[u][free_count] < best_score - _TIE_EPS:
             return
         key = (u << n_bc) | used_mask
         if score < state_best.get(key, -np.inf) - _TIE_EPS:
