@@ -259,15 +259,16 @@ def solve_step1_exact(
     Branches per UE over its minimal satisfying chain sets (or none).
     Pruning uses an admissible fractional-knapsack bound (each remaining
     UE offers at best its top standalone gain at the cost of its
-    smallest chain demand, packed into the free-chain count; tabulated
-    once per solve over (UE, free-chain count)) plus state
+    smallest chain demand, packed into the free-chain count) plus state
     dominance: two prefixes reaching the same (UE, used-chain mask)
     state admit identical completions, so an arrival scoring strictly
-    below an earlier one is dead.  The incumbent is seeded from the
-    rounded relaxation.  Score ties resolve to the lexicographically
-    smallest assignment matrix (tied state arrivals are re-explored for
-    that reason).  Raises NodeBudgetExceeded (carrying the incumbent) if
-    the tree outgrows node_budget.
+    below an earlier one is dead.  The bound depends only on the UE and
+    the free-chain count, so it is tabulated once per solve.  The
+    incumbent is seeded from the rounded relaxation.  Score ties resolve
+    to the lexicographically smallest assignment matrix (tied state
+    arrivals are re-explored for that reason).  Raises
+    NodeBudgetExceeded (carrying the incumbent) if the tree outgrows
+    node_budget.
     """
     weights = weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
     n_ue, n_bc = inst.n_ue, inst.c.shape[1]
@@ -308,7 +309,6 @@ def solve_step1_exact(
                 break
         return total
 
-    # The bound depends only on (u, free_count), so tabulate it once.
     bound = [[knapsack_bound(u, f) for f in range(n_bc + 1)] for u in range(n_ue + 1)]
 
     best_score = 0.0
