@@ -58,6 +58,21 @@ def test_rejects_bad_bounds():
         lp.solve_lp_max([1.0], [[1.0]], [1.0], [0.0])
 
 
+def test_beale_cycling_example_ends_under_blands_rule():
+    # Beale (1955): Dantzig pricing with a smallest-index ratio tie-break
+    # cycles on this LP.  The solve stalls for 40 degenerate pivots,
+    # switches to Bland's rule and reaches the optimum in two more.
+    got = lp.solve_lp_max(
+        [0.75, -20.0, 0.5, -6.0],
+        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        [0.0, 0.0, 1.0],
+        np.full(4, 10.0),
+    )
+    assert got.iterations == 42
+    np.testing.assert_allclose(got.x, [1.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
+    assert got.objective == pytest.approx(1.25)
+
+
 def _random_lp(rng):
     n = int(rng.integers(2, 8))
     mrows = int(rng.integers(1, 7))
@@ -66,6 +81,35 @@ def _random_lp(rng):
     b = rng.uniform(0.0, 2.0, mrows)
     u = rng.uniform(0.5, 2.0, n)
     return c, a, b, u
+
+
+def _assignment_polytope(n):
+    # max sum(x) over n x n doubly substochastic matrices: every vertex
+    # ties, so the ratio test meets ties at each pivot.
+    rows = np.zeros((2 * n, n * n))
+    for i in range(n):
+        rows[i, i * n : (i + 1) * n] = 1.0  # row sums <= 1
+        rows[n + i, i::n] = 1.0  # column sums <= 1
+    return np.ones(n * n), rows, np.ones(2 * n), np.ones(n * n)
+
+
+# sha256 over (pivots, x bytes) of 300 random LPs, which take bound flips
+# and entries from the upper bound, and of the tied assignment polytopes
+# for n = 4..12, which take ratio-test ties.  Recorded with the dense
+# tableau simplex; any change to pricing, the ratio test or its tie-break
+# moves the digest.
+BRANCH_PIN = "e92b7325faed9d6d300d0b4f9a71bfb350b887d3c0457f0ac841cef462aa6460"
+
+
+def test_simplex_branches_reproduce_pinned_digest():
+    lps = [_random_lp(np.random.default_rng(seed)) for seed in range(300)]
+    lps += [_assignment_polytope(n) for n in range(4, 13)]
+    digest = hashlib.sha256()
+    for c, a, b, u in lps:
+        got = lp.solve_lp_max(c, a, b, u)
+        digest.update(got.iterations.to_bytes(8, "little"))
+        digest.update(got.x.tobytes())
+    assert digest.hexdigest() == BRANCH_PIN
 
 
 @settings(max_examples=150)
