@@ -10,13 +10,15 @@ termination certain on the highly degenerate assignment polytopes this
 package produces.  The returned point is a basic feasible solution,
 i.e. a vertex of the feasible polytope.
 
-The tableau is stored dense, but a pivot touches only its nonzero
-block: the rows where the entering column is nonzero times the columns
-where the pivot row is nonzero, and the reduced costs of those columns.
-Every other entry would have had an exact zero subtracted, so the
-iterates are the ones a full rank-one update gives, bit for bit, at a
-small fraction of its cost (the relaxations here have a few nonzeros
-per column).
+The tableau is stored dense.  A pivot divides the pivot row in place
+and subtracts its multiples from the whole reduced-cost row and from the
+full rows where the entering column is nonzero (a few per column here).
+Where the pivot row is zero an entry becomes x - (+-0.0) == x: at most
+the sign of a zero changes, and no comparison reads it, so the iterates
+are a full rank-one update's, bit for bit.  A basic column's reduced
+cost is exactly 0.0 (the divided pivot entry is exactly 1.0, so
+c - c * 1.0 == 0.0, and later pivots subtract exact zeros from it), so
+pricing needs no basis mask.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         return LpSolution(x=np.zeros(0), objective=0.0, iterations=0)
     if a.shape != (m, n):
         raise ValueError(f"constraint matrix shape {a.shape} != ({m}, {n})")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("objective, a_ub and b_ub must be finite")
     if np.any(b < 0):
         raise ValueError("b_ub must be >= 0 (all-zeros must be feasible)")
     if np.any(ub_struct <= 0) or not np.all(np.isfinite(ub_struct)):
@@ -68,40 +72,38 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         return LpSolution(x=x, objective=float(c @ x), iterations=0)
 
     total = n + m
-    tableau = np.hstack([a, np.eye(m)])
-    values = b.astype(float).copy()  # current basic-variable values
+    tableau = np.zeros((m, total))
+    tableau[:, :n] = a
+    np.fill_diagonal(tableau[:, n:], 1.0)
+    values = b.copy()  # current basic-variable values
     obj_row = np.concatenate([c, np.zeros(m)])  # reduced costs
     ub = np.concatenate([ub_struct, np.full(m, np.inf)])
     basis = np.arange(n, total)
-    in_basis = np.zeros(total, dtype=bool)
-    in_basis[basis] = True
+    ub_basic = np.full(m, np.inf)  # ub[basis]
     at_upper = np.zeros(total, dtype=bool)
+    ratios = np.empty(m)
 
     iterations = 0
     stall = 0
     while True:
-        gain_low = (~in_basis) & (~at_upper) & (obj_row > _RC_TOL)
-        gain_up = (~in_basis) & at_upper & (obj_row < -_RC_TOL)
-        eligible = np.flatnonzero(gain_low | gain_up)
-        if eligible.size == 0:
+        # Improvement per unit step; exactly 0.0 for basic columns.
+        gain = np.where(at_upper, -obj_row, obj_row)
+        j = int(gain.argmax())  # Dantzig
+        if gain[j] <= _RC_TOL:
             break
         if iterations >= _MAX_PIVOTS:
             raise SimplexError(f"simplex did not converge within {_MAX_PIVOTS} pivots")
         iterations += 1
-
-        if stall < _STALL_LIMIT:
-            j = int(eligible[np.argmax(np.abs(obj_row[eligible]))])  # Dantzig
-        else:
-            j = int(eligible[0])  # Bland: smallest index enters
+        if stall >= _STALL_LIMIT:
+            j = int((gain > _RC_TOL).argmax())  # Bland: smallest index enters
         sign = -1.0 if at_upper[j] else 1.0
         col = sign * tableau[:, j]
 
-        # Ratio test: basic value i moves as values[i] - t * col[i].
-        dec = col > _PIV_TOL  # basic value falls toward 0
-        inc = (col < -_PIV_TOL) & np.isfinite(ub[basis])  # rises toward its bound
-        ratios = np.full(m, np.inf)
-        ratios[dec] = np.maximum(values[dec], 0.0) / col[dec]
-        ratios[inc] = (ub[basis][inc] - values[inc]) / (-col[inc])
+        # Ratio test: basic value i moves as values[i] - t * col[i], down
+        # toward 0 or up toward its bound (an infinite bound gives inf).
+        ratios.fill(np.inf)
+        np.divide(np.maximum(values, 0.0), col, out=ratios, where=col > _PIV_TOL)
+        np.divide(ub_basic - values, -col, out=ratios, where=col < -_PIV_TOL)
         r_min = float(ratios.min())
         t_flip = ub[j]  # entering variable flips to its other bound
         t_star = min(t_flip, r_min)
@@ -127,19 +129,15 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         piv = tableau[r, j]
         if abs(piv) < _PIV_TOL:
             raise SimplexError("numerically singular pivot")
-        tableau[r] /= piv
-        # Only the nonzero block changes: elsewhere the rank-one update
-        # would subtract an exact zero.
-        rows = np.flatnonzero(tableau[:, j])
+        pivot_row = tableau[r]
+        pivot_row /= piv
+        rows = np.flatnonzero(col)
         rows = rows[rows != r]
-        cols = np.flatnonzero(tableau[r])
-        pivot_row = tableau[r, cols]
-        tableau[np.ix_(rows, cols)] -= np.outer(tableau[rows, j], pivot_row)
-        obj_row[cols] -= obj_row[j] * pivot_row
+        tableau[rows] -= tableau[rows, j][:, None] * pivot_row
+        obj_row -= obj_row[j] * pivot_row
 
         basis[r] = j
-        in_basis[j] = True
-        in_basis[leaving] = False
+        ub_basic[r] = ub[j]
         at_upper[j] = False
         at_upper[leaving] = leaves_at_upper
 

@@ -58,6 +58,16 @@ def test_rejects_bad_bounds():
         lp.solve_lp_max([1.0], [[1.0]], [1.0], [0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["objective", "a_ub", "b_ub"])
+def test_rejects_non_finite_inputs(where, bad):
+    args = {"objective": [1.0, 2.0], "a_ub": [[1.0, 1.0]], "b_ub": [1.0]}
+    args[where] = np.array(args[where])
+    args[where].flat[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        lp.solve_lp_max(args["objective"], args["a_ub"], args["b_ub"], [1.0, 1.0])
+
+
 def test_beale_cycling_example_ends_under_blands_rule():
     # Beale (1955): Dantzig pricing with a smallest-index ratio tie-break
     # cycles on this LP.  The solve stalls for 40 degenerate pivots,
@@ -139,10 +149,10 @@ def test_vertex_has_enough_tight_constraints(seed):
 
 
 # (config, run, r_max, pivots, sha256 of the LP's x) of step-1 relaxations,
-# recorded with the full rank-one pivot update.  The update restricted to
-# the nonzero block must reproduce them bit for bit.  The digests pin the
-# exact bits of the capacity matrix too, so they hold for this platform's
-# numpy and libm.
+# recorded with the full rank-one pivot update.  The update over the rows
+# where the entering column is nonzero must reproduce them bit for bit.
+# The digests pin the exact bits of the capacity matrix too, so they hold
+# for this platform's numpy and libm.
 STEP1_PINS = [
     ("desk.cfg", 0, 1e9, 20, "cba548da96bb1446cfdd49e8213244c84de43f731fffdb14b34d7fd5a0589430"),
     ("desk.cfg", 3, 4e9, 35, "aa98eeca87d58aa5c9091fc58a2017bd461d2703bc91586343b2b80dfe055374"),
