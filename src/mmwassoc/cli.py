@@ -6,9 +6,9 @@
 `simulate` runs a Monte Carlo sweep from a scenario config file and
 writes records plus aggregates; `solve` runs one scheme on a single
 instance JSON and prints the solved instance (x, z, metrics).  Exit
-codes: 0 on success; 2 when simulate is given an invalid config, sweep
-or run count (one `error:` line on stderr), or when the exact search
-runs out of node budget in solve mode.
+codes: 0 on success; 2 when simulate is given a config file it cannot
+read, or an invalid config, sweep or run count (one `error:` line on
+stderr), or when the exact search runs out of node budget in solve mode.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _cmd_simulate(args) -> int:
             exact_node_budget=args.exact_budget,
             measure_time=args.measure_time,
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     records = harness.run_experiment(spec)

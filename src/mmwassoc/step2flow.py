@@ -167,6 +167,8 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
         raise ValueError("edge capacities must be non-negative integers")
     if net.supply < 0:
         raise ValueError("supply must be >= 0")
+    if not (0 <= net.source < n and 0 <= net.sink < n):
+        raise ValueError("source and sink must be vertices of the network")
 
     to = np.column_stack([edges.head, edges.tail]).ravel().tolist()
     tail = np.column_stack([edges.tail, edges.head]).ravel().tolist()

@@ -352,6 +352,15 @@ def test_cli_simulate_invalid_spec_exits_2_with_one_error_line(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_simulate_missing_config_exits_2_with_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.cfg"
+    args = ["simulate", "--config", str(missing), "--runs", "1", "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "nonexistent.cfg" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_solve(tmp_path, capsys):
     rng = np.random.default_rng(91)
     inst = random_instance(rng, 3, 2, 2, 2)

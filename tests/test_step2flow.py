@@ -186,6 +186,9 @@ def test_malformed_graph_rejected():
                 sink=1,
             )
         )
+    for source, sink in ((0, 5), (-1, 1)):
+        with pytest.raises(ValueError, match="source and sink"):
+            step2flow.solve_min_cost_flow(FlowNetwork(2, edge_array((0, 1, 1, 0.0)), 1, source, sink))
 
 
 def test_negative_cycle_rejected():
