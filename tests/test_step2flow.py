@@ -186,9 +186,11 @@ def test_malformed_graph_rejected():
                 sink=1,
             )
         )
-    for source, sink in ((0, 5), (-1, 1)):
+    # Supply 0 for the negative source: without the check, supply 1 makes
+    # the solver index from the end of its lists and run on for minutes.
+    for supply, source, sink in ((1, 0, 5), (0, -1, 1)):
         with pytest.raises(ValueError, match="source and sink"):
-            step2flow.solve_min_cost_flow(FlowNetwork(2, edge_array((0, 1, 1, 0.0)), 1, source, sink))
+            step2flow.solve_min_cost_flow(FlowNetwork(2, edge_array((0, 1, 1, 0.0)), supply, source, sink))
 
 
 def test_negative_cycle_rejected():
