@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -161,8 +162,13 @@ STEP1_PINS = [
 ]
 
 
-@pytest.mark.parametrize("config, run_id, r_max, pivots, x_sha256", STEP1_PINS)
-def test_step1_lp_reproduces_pinned_vertices(monkeypatch, config, run_id, r_max, pivots, x_sha256):
+# The same pin for the 9 BSs x 100 UEs stress shape of full.cfg (run 0,
+# r_max 2e9): a 445 x 9100 LP whose entering columns reach dozens of rows
+# per pivot, where the cell pins above touch only a few.
+STRESS_9X100_PIN = (2e9, 347, "c7ef3b55dcc443113a5938b459db6dc063641bb8823c2c9a2dac2a57f0973664")
+
+
+def _solve_step1_lp_recorded(monkeypatch, cfg, run_id, r_max):
     solved = []
     solve = lp.solve_lp_max
 
@@ -171,8 +177,22 @@ def test_step1_lp_reproduces_pinned_vertices(monkeypatch, config, run_id, r_max,
         return solved[-1]
 
     monkeypatch.setattr(lp, "solve_lp_max", recording)
-    cfg = m.ScenarioConfig.from_config_file(CONFIGS / config)
     m.solve_step1_lp(harness.build_cell_instance(cfg, run_id, r_max))
     (sol,) = solved
+    return sol
+
+
+@pytest.mark.parametrize("config, run_id, r_max, pivots, x_sha256", STEP1_PINS)
+def test_step1_lp_reproduces_pinned_vertices(monkeypatch, config, run_id, r_max, pivots, x_sha256):
+    cfg = m.ScenarioConfig.from_config_file(CONFIGS / config)
+    sol = _solve_step1_lp_recorded(monkeypatch, cfg, run_id, r_max)
+    assert sol.iterations == pivots
+    assert hashlib.sha256(sol.x.tobytes()).hexdigest() == x_sha256
+
+
+def test_step1_lp_9x100_reproduces_pinned_vertex(monkeypatch):
+    r_max, pivots, x_sha256 = STRESS_9X100_PIN
+    cfg = replace(m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg"), n_bs=9, n_ue=100)
+    sol = _solve_step1_lp_recorded(monkeypatch, cfg, 0, r_max)
     assert sol.iterations == pivots
     assert hashlib.sha256(sol.x.tobytes()).hexdigest() == x_sha256
