@@ -57,6 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_simulate(args) -> int:
     try:
         cfg = ScenarioConfig.from_config_file(args.config)
@@ -71,8 +76,7 @@ def _cmd_simulate(args) -> int:
             measure_time=args.measure_time,
         )
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     records = harness.run_experiment(spec)
     rec_path, agg_path = harness.emit_results(records, args.out, args.format)
     print(f"wrote {len(records)} records to {rec_path} (aggregates: {agg_path})")
@@ -80,12 +84,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = instance_from_dict(json.loads(Path(args.instance).read_text()))
+    try:
+        inst = instance_from_dict(json.loads(Path(args.instance).read_text()))
+    except OSError as exc:
+        return _error(exc)
+    except KeyError as exc:
+        return _error(f"{args.instance}: missing key {exc}")
+    except (TypeError, ValueError) as exc:  # not JSON, or not a valid instance
+        return _error(f"{args.instance}: {exc}")
     try:
         sol, _ = harness.run_scheme(inst, args.scheme, args.node_budget)
     except step1.NodeBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     payload = json.dumps(solution_to_dict(inst, sol), indent=1)
     if args.out:
         Path(args.out).write_text(payload + "\n")

@@ -10,19 +10,28 @@ termination certain on the highly degenerate assignment polytopes this
 package produces.  The returned point is a basic feasible solution,
 i.e. a vertex of the feasible polytope.
 
-The tableau is stored dense.  A pivot divides the pivot row in place
-and subtracts its multiples from the whole reduced-cost row and from the
-full rows where the entering column is nonzero (a few per column here).
-Where the pivot row is zero an entry becomes x - (+-0.0) == x: at most
-the sign of a zero changes, and no comparison reads it, so the iterates
-are a full rank-one update's, bit for bit.  A basic column's reduced
-cost is exactly 0.0 (the divided pivot entry is exactly 1.0, so
-c - c * 1.0 == 0.0, and later pivots subtract exact zeros from it), so
-pricing needs no basis mask.
+The tableau is stored dense, but a pivot works only on the entering
+column's support, the rows where that column is nonzero (a handful on a
+cell LP, dozens at 9 BSs x 100 UEs).  The ratio test and the update of
+the basic values loop over those rows alone.  Any other row has a zero
+entry, so its ratio is infinite and its value would move by t * (+-0.0),
+which leaves a nonzero value as it is; a -0.0 value can come only from
+b and sit only on a slack, and neither max(0.0, v) nor x shows its
+sign.  The pivot row is divided in place, and each support row and the
+reduced-cost row subtract its multiple as one in-place
+``row -= row[j] * pivot_row`` on a contiguous row.  Every entry, reduced
+cost and basic value therefore gets the same float operations in the
+same order as a full rank-one update, and the iterates are the same bit
+for bit.  Where the pivot row is zero an entry becomes x - (+-0.0) == x:
+at most the sign of a zero changes, and no comparison reads it.  A basic
+column's reduced cost is exactly 0.0 (the divided pivot entry is exactly
+1.0, so c - c * 1.0 == 0.0, and later pivots subtract exact zeros from
+it), so pricing needs no basis mask.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,12 @@ import numpy as np
 # Reduced-cost / pivot-element significance thresholds.
 _RC_TOL = 1e-9
 _PIV_TOL = 1e-11
+# Ratios within this of the minimum tie; Bland's smallest basic index
+# breaks the tie, so rounding noise in a ratio cannot pick the row.
+_RATIO_TIE = 1e-12
+# A step no longer than this is degenerate; _STALL_LIMIT of them in a row
+# switch pricing to Bland's rule.
+_DEGENERATE_STEP = 1e-12
 # Largest bound violation tolerated in the final point before clipping.
 _FEAS_TOL = 1e-7
 # Degenerate pivots in a row before falling back to Bland's rule.
@@ -75,13 +90,12 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     tableau = np.zeros((m, total))
     tableau[:, :n] = a
     np.fill_diagonal(tableau[:, n:], 1.0)
-    values = b.copy()  # current basic-variable values
+    values = b.tolist()  # current basic-variable values
     obj_row = np.concatenate([c, np.zeros(m)])  # reduced costs
-    ub = np.concatenate([ub_struct, np.full(m, np.inf)])
-    basis = np.arange(n, total)
-    ub_basic = np.full(m, np.inf)  # ub[basis]
+    ub = ub_struct.tolist() + [math.inf] * m
+    basis = list(range(n, total))
+    ub_basic = [math.inf] * m  # ub[basis]
     at_upper = np.zeros(total, dtype=bool)
-    ratios = np.empty(m)
 
     iterations = 0
     stall = 0
@@ -97,43 +111,50 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         if stall >= _STALL_LIMIT:
             j = int((gain > _RC_TOL).argmax())  # Bland: smallest index enters
         sign = -1.0 if at_upper[j] else 1.0
-        col = sign * tableau[:, j]
+        support = np.flatnonzero(tableau[:, j])
+        col = (sign * tableau[support, j]).tolist()
+        support = support.tolist()
 
         # Ratio test: basic value i moves as values[i] - t * col[i], down
         # toward 0 or up toward its bound (an infinite bound gives inf).
-        ratios.fill(np.inf)
-        np.divide(np.maximum(values, 0.0), col, out=ratios, where=col > _PIV_TOL)
-        np.divide(ub_basic - values, -col, out=ratios, where=col < -_PIV_TOL)
-        r_min = float(ratios.min())
+        # Rows off the support, or inside the _PIV_TOL band, never block.
+        # max(0.0, v) is +0.0 for v == -0.0, as np.maximum(v, 0.0) is.
+        ratios = [
+            max(0.0, values[i]) / ci if ci > _PIV_TOL
+            else (ub_basic[i] - values[i]) / -ci if ci < -_PIV_TOL
+            else math.inf
+            for i, ci in zip(support, col)
+        ]
+        r_min = min(ratios, default=math.inf)
         t_flip = ub[j]  # entering variable flips to its other bound
         t_star = min(t_flip, r_min)
-        if not np.isfinite(t_star):
+        if not math.isfinite(t_star):
             raise SimplexError("LP is unbounded")
-        stall = stall + 1 if t_star <= 1e-12 else 0
+        stall = stall + 1 if t_star <= _DEGENERATE_STEP else 0
 
+        for i, ci in zip(support, col):
+            values[i] -= t_star * ci
         if t_flip <= r_min:
             # Bound flip: entering variable jumps to its other bound.
-            values -= t_star * col
             at_upper[j] = ~at_upper[j]
             continue
 
         # Bland: among rows achieving the min ratio, smallest basic index leaves.
-        tie_rows = np.flatnonzero(ratios <= t_star + 1e-12)
-        r = int(tie_rows[np.argmin(basis[tie_rows])])
-        leaving = int(basis[r])
-        leaves_at_upper = col[r] < 0
-
-        values -= t_star * col
+        window = t_star + _RATIO_TIE
+        r = min((i for i, ratio in zip(support, ratios) if ratio <= window), key=basis.__getitem__)
+        leaving = basis[r]
         values[r] = (ub[j] if at_upper[j] else 0.0) + sign * t_star
 
         piv = tableau[r, j]
         if abs(piv) < _PIV_TOL:
             raise SimplexError("numerically singular pivot")
+        leaves_at_upper = sign * piv < 0
         pivot_row = tableau[r]
         pivot_row /= piv
-        rows = np.flatnonzero(col)
-        rows = rows[rows != r]
-        tableau[rows] -= tableau[rows, j][:, None] * pivot_row
+        for i in support:
+            if i != r:
+                row = tableau[i]
+                row -= row[j] * pivot_row
         obj_row -= obj_row[j] * pivot_row
 
         basis[r] = j

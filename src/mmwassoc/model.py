@@ -96,7 +96,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_config_file(cls, path: str | Path) -> "ScenarioConfig":
-        """Read a ``key = value`` config; keys must match field names."""
+        """Read a ``key = value`` config; keys must match field names and
+        appear at most once."""
         types = {f.name: f.type for f in fields(cls)}
         kwargs: dict = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -108,6 +109,8 @@ class ScenarioConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in kwargs:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             if types[key] == "int":
                 kwargs[key] = int(value)
             elif types[key] == "float":

@@ -361,6 +361,45 @@ def test_cli_simulate_missing_config_exits_2_with_one_error_line(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_simulate_repeated_config_key_exits_2_with_one_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "desk.cfg"
+    replace(DESK, n_ue=4).to_config_file(cfg_path)
+    cfg_path.write_text(cfg_path.read_text() + "n_ue = 5\n")
+    args = ["simulate", "--config", str(cfg_path), "--runs", "1", "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "repeated key 'n_ue'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def _instance_text(edit):
+    data = instance_to_dict(random_instance(np.random.default_rng(91), 3, 2, 2, 2))
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        (_instance_text(lambda d: d.pop("n_bs_rf")), "missing key 'n_bs_rf'"),
+        (_instance_text(lambda d: d.update(rate_req_bps=[-1.0, 1e9, 1e9])), "rate requirements"),
+        ("[1, 2]", "list indices"),
+    ],
+    ids=["missing-file", "not-json", "missing-key", "invalid-instance", "not-an-object"],
+)
+def test_cli_solve_bad_instance_exits_2_with_one_error_line(tmp_path, capsys, text, message):
+    inst_path = tmp_path / "inst.json"
+    if text is not None:
+        inst_path.write_text(text)
+    assert cli.main(["solve", "--instance", str(inst_path), "--scheme", "max-snr"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert "inst.json" in err[0] and captured.out == ""
+
+
 def test_cli_solve(tmp_path, capsys):
     rng = np.random.default_rng(91)
     inst = random_instance(rng, 3, 2, 2, 2)

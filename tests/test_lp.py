@@ -49,6 +49,15 @@ def test_degenerate_assignment_polytope():
     assert got.objective == pytest.approx(n, abs=1e-9)
 
 
+def test_entry_inside_pivot_band_never_blocks_the_ratio_test():
+    # Row 0's entry 1e-13 lies within _PIV_TOL of zero, so its ratio
+    # 0 / 1e-13 must not limit the step (a pivot on it would be singular):
+    # row 1 stops x at 1 before the bound flip at 2.
+    got = lp.solve_lp_max([1.0], [[1e-13], [1.0]], [0.0, 1.0], [2.0])
+    np.testing.assert_array_equal(got.x, [1.0])
+    assert got.iterations == 1
+
+
 def test_rejects_negative_rhs():
     with pytest.raises(ValueError):
         lp.solve_lp_max([1.0], [[1.0]], [-1.0], [1.0])

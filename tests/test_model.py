@@ -209,6 +209,13 @@ def test_config_file_rejects_unknown_key(tmp_path):
         m.ScenarioConfig.from_config_file(path)
 
 
+def test_config_file_rejects_repeated_key(tmp_path):
+    path = tmp_path / "dup.cfg"
+    path.write_text("n_ue = 10\nn_bs = 3\nn_ue = 12\n")
+    with pytest.raises(ValueError, match=r"dup\.cfg:3: repeated key 'n_ue'"):
+        m.ScenarioConfig.from_config_file(path)
+
+
 def test_grid_shape_factorizations():
     assert _grid_shape(5) == (1, 5)
     assert _grid_shape(4) == (2, 2)
