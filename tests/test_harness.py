@@ -226,6 +226,39 @@ def test_sweep_output_reproduces_pinned_bytes(
     assert hashlib.sha256(agg_path.read_bytes()).hexdigest() == agg_sha256
 
 
+def test_json_sweep_output_reproduces_pinned_bytes(tmp_path):
+    # The desk pin's sweep written as JSON: sha256 of records.json and
+    # aggregates.json.
+    config, schemes, n_runs, r_max_sweep, _, _ = SWEEP_PINS[0]
+    spec = harness.ExperimentSpec(
+        base=m.ScenarioConfig.from_config_file(CONFIGS / config),
+        schemes=schemes,
+        n_runs=n_runs,
+        r_max_sweep=r_max_sweep,
+    )
+    rec_path, agg_path = harness.emit_results(harness.run_experiment(spec), tmp_path, "json")
+    assert hashlib.sha256(rec_path.read_bytes()).hexdigest() == (
+        "8a0c55abecd1e660bc2a9f3f732059dcdfeb84509ae9a85e1bf4f2eaa8b3a68a"
+    )
+    assert hashlib.sha256(agg_path.read_bytes()).hexdigest() == (
+        "96f318e76a3daa79148bf0a420b59538014543f485b9bce280e06005dcedb43b"
+    )
+
+
+def test_cli_solve_output_reproduces_pinned_bytes(tmp_path, capsys):
+    # sha256 of `mmwassoc solve` stdout for the desk.cfg cell of run 0 at
+    # r_max 2 Gbit/s under the proposed two-step scheme.
+    base = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(instance_to_dict(harness.build_cell_instance(base, 0, 2e9))))
+    args = ["solve", "--instance", str(inst_path), "--scheme", "two-step-proposed"]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cce3347ab98b05ae0793c5a339b3d1321ccfe93d4d1c2ffe41be11ce11222b61"
+    )
+
+
 def test_emit_json(tmp_path):
     records = harness.run_experiment(tiny_spec(n_runs=1))
     rec_path, agg_path = harness.emit_results(records, tmp_path, fmt="json")
