@@ -22,7 +22,6 @@ from .instance import (
     weight_term,
 )
 from .model import (
-    CapacityMatrix,
     ScenarioConfig,
     ScenarioRealization,
     beamforming_gain,

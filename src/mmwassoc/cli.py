@@ -6,9 +6,11 @@
 `simulate` runs a Monte Carlo sweep from a scenario config file and
 writes records plus aggregates; `solve` runs one scheme on a single
 instance JSON and prints the solved instance (x, z, metrics).  Exit
-codes: 0 on success; 2 when simulate is given a config file it cannot
-read, or an invalid config, sweep or run count (one `error:` line on
-stderr), or when the exact search runs out of node budget in solve mode.
+codes: 0 on success; 2, with one `error:` line on stderr, when simulate
+is given a config file it cannot read, or an invalid config, sweep, run
+count or exact budget; when solve is given an instance it cannot read
+or the exact search runs out of node budget; or when either command
+cannot write to --out.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SCHEMES,
         help=f"comma-separated subset of {', '.join(harness.SCHEMES)}",
     )
-    sim.add_argument("--runs", type=int, default=30)
+    sim.add_argument("--runs", type=int, default=harness.ExperimentSpec.n_runs)
     sim.add_argument(
         "--rmax-sweep",
-        default="0.5e9,1e9,2e9,4e9,8e9",
+        default=",".join(map(str, harness.ExperimentSpec.r_max_sweep)),
         help="comma-separated r_max values in bit/s",
     )
     sim.add_argument("--out", default="results")
@@ -78,7 +80,10 @@ def _cmd_simulate(args) -> int:
     except (OSError, ValueError) as exc:
         return _error(exc)
     records = harness.run_experiment(spec)
-    rec_path, agg_path = harness.emit_results(records, args.out, args.format)
+    try:
+        rec_path, agg_path = harness.emit_results(records, args.out, args.format)
+    except OSError as exc:
+        return _error(exc)
     print(f"wrote {len(records)} records to {rec_path} (aggregates: {agg_path})")
     return 0
 
@@ -97,10 +102,13 @@ def _cmd_solve(args) -> int:
     except step1.NodeBudgetExceeded as exc:
         return _error(exc)
     payload = json.dumps(solution_to_dict(inst, sol), indent=1)
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
-    else:
-        print(payload)
+    try:
+        if args.out:
+            Path(args.out).write_text(payload + "\n")
+        else:
+            print(payload)
+    except OSError as exc:
+        return _error(exc)
     return 0
 
 

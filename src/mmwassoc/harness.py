@@ -6,6 +6,11 @@ all requested schemes on that same instance, so scheme comparisons are
 paired.  Records are emitted in (run_id, r_max, scheme) order; with
 timing disabled (the default) the whole output is a pure function of
 the experiment spec, byte for byte.
+
+`RunRecord` is the one home of the record schema: the record columns,
+the averaged aggregate columns and the CSV parser all follow its
+fields.  Records and aggregates go through the same writer, one per
+output format.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,21 +31,11 @@ from .instance import (
     metrics,
     solution_from_x,
 )
-from .model import ScenarioConfig, build_capacity_matrix, sample_scenario
+from .model import FIELD_PARSERS, ScenarioConfig, build_capacity_matrix, sample_scenario
 
-SCHEMES = ("two-step-exact", "two-step-proposed", "max-sum-rate", "max-snr")
-SOLVER_CHOICES = ("exact", "lp-round")
-
-RECORD_FIELDS = (
-    "run_id",
-    "r_max",
-    "scheme",
-    "n_associated",
-    "n_satisfied",
-    "sum_rate_bps",
-    "rf_chains_used_step1",
-    "wall_time_ms",
-)
+# The step-1 solver of each two-step scheme.
+TWO_STEP_SOLVERS = {"two-step-exact": "exact", "two-step-proposed": "lp-round"}
+SCHEMES = (*TWO_STEP_SOLVERS, "max-sum-rate", "max-snr")
 
 
 @dataclass(frozen=True)
@@ -61,6 +56,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        if self.exact_node_budget < 1:
+            raise ValueError("exact_node_budget must be >= 1")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}; choose from {SCHEMES}")
@@ -81,6 +78,11 @@ class RunRecord:
     sum_rate_bps: float
     rf_chains_used_step1: int
     wall_time_ms: float
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+# Averaged per (r_max, scheme) in the aggregates: every field after the key.
+_MEAN_FIELDS = RECORD_FIELDS[RECORD_FIELDS.index("scheme") + 1 :]
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def run_two_step(
     elif solver_choice == "lp-round":
         first = step1.round_solution(step1.solve_step1_lp(inst), inst)
     else:
-        raise ValueError(f"solver_choice must be one of {SOLVER_CHOICES}")
+        raise ValueError(f"solver_choice must be one of {tuple(TWO_STEP_SOLVERS.values())}")
     return complete_two_step(inst, first)
 
 
@@ -142,11 +144,8 @@ def run_scheme(
     inst: AssociationInstance, scheme: str, node_budget: int = step1.DEFAULT_NODE_BUDGET
 ) -> tuple[AssociationSolution, int]:
     """Run one scheme; returns (solution, step-1 chains used)."""
-    if scheme == "two-step-exact":
-        result = run_two_step(inst, "exact", node_budget)
-        return result.combined, int(result.step1_solution.x.sum())
-    if scheme == "two-step-proposed":
-        result = run_two_step(inst, "lp-round", node_budget)
+    if scheme in TWO_STEP_SOLVERS:
+        result = run_two_step(inst, TWO_STEP_SOLVERS[scheme], node_budget)
         return result.combined, int(result.step1_solution.x.sum())
     if scheme == "max-sum-rate":
         return baselines.max_sum_rate(inst), 0
@@ -212,20 +211,11 @@ def aggregate(records: list[RunRecord]) -> list[dict]:
         groups.setdefault((rec.r_max, rec.scheme), []).append(rec)
     out = []
     for (r_max, scheme), recs in sorted(groups.items()):
-        out.append(
-            {
-                "r_max": r_max,
-                "scheme": scheme,
-                "mean_n_associated": float(np.mean([r.n_associated for r in recs])),
-                "mean_n_satisfied": float(np.mean([r.n_satisfied for r in recs])),
-                "mean_sum_rate_bps": float(np.mean([r.sum_rate_bps for r in recs])),
-                "mean_rf_chains_used_step1": float(
-                    np.mean([r.rf_chains_used_step1 for r in recs])
-                ),
-                "mean_wall_time_ms": float(np.mean([r.wall_time_ms for r in recs])),
-                "n_runs": len(recs),
-            }
-        )
+        row = {"r_max": r_max, "scheme": scheme}
+        for name in _MEAN_FIELDS:
+            row[f"mean_{name}"] = float(np.mean([getattr(r, name) for r in recs]))
+        row["n_runs"] = len(recs)
+        out.append(row)
     return out
 
 
@@ -245,30 +235,19 @@ def emit_results(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv"
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    aggs = aggregate(records)
-
-    if fmt == "csv":
-        rec_path = out / "records.csv"
-        lines = [",".join(RECORD_FIELDS)]
-        for rec in records:
-            lines.append(",".join(_format(getattr(rec, f)) for f in RECORD_FIELDS))
-        rec_path.write_text("\n".join(lines) + "\n")
-
-        agg_path = out / "aggregates.csv"
-        agg_fields = list(aggs[0].keys())
-        lines = [",".join(agg_fields)]
-        for row in aggs:
-            lines.append(",".join(_format(row[f]) for f in agg_fields))
-        agg_path.write_text("\n".join(lines) + "\n")
-    else:
-        rec_path = out / "records.json"
-        rec_path.write_text(
-            json.dumps([{f: getattr(r, f) for f in RECORD_FIELDS} for r in records], indent=1)
-            + "\n"
-        )
-        agg_path = out / "aggregates.json"
-        agg_path.write_text(json.dumps(aggs, indent=1) + "\n")
-    return rec_path, agg_path
+    tables = {"records": [asdict(r) for r in records], "aggregates": aggregate(records)}
+    paths = []
+    for name, rows in tables.items():
+        if fmt == "csv":
+            cols = list(rows[0])
+            lines = [",".join(cols)] + [",".join(_format(row[c]) for c in cols) for row in rows]
+            text = "\n".join(lines)
+        else:
+            text = json.dumps(rows, indent=1)
+        path = out / f"{name}.{fmt}"
+        path.write_text(text + "\n")
+        paths.append(path)
+    return tuple(paths)
 
 
 def read_records_csv(path: str | Path) -> list[RunRecord]:
@@ -277,14 +256,8 @@ def read_records_csv(path: str | Path) -> list[RunRecord]:
     header = lines[0].split(",")
     if tuple(header) != RECORD_FIELDS:
         raise ValueError(f"unexpected header {header}")
-    types = {f.name: f.type for f in fields(RunRecord)}
-    out = []
-    for line in lines[1:]:
-        values = line.split(",")
-        kwargs = {}
-        for name, value in zip(RECORD_FIELDS, values):
-            kwargs[name] = int(value) if types[name] == "int" else (
-                float(value) if types[name] == "float" else value
-            )
-        out.append(RunRecord(**kwargs))
-    return out
+    parsers = [FIELD_PARSERS[f.type] for f in fields(RunRecord)]
+    return [
+        RunRecord(*(parse(v) for parse, v in zip(parsers, line.split(","))))
+        for line in lines[1:]
+    ]

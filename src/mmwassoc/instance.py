@@ -22,7 +22,7 @@ those with ``constraints=STRUCTURAL_CONSTRAINTS``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -123,9 +123,9 @@ def make_instance(
     )
 
 
-def instance_from_capacity(cm, rate_req, cfg) -> AssociationInstance:
-    """Build an instance from a CapacityMatrix and a ScenarioConfig."""
-    return make_instance(cm.c, rate_req, cfg.n_ue_rf, cfg.n_bs_rf)
+def instance_from_capacity(c, rate_req, cfg) -> AssociationInstance:
+    """Build an instance from a capacity matrix and a ScenarioConfig."""
+    return make_instance(c, rate_req, cfg.n_ue_rf, cfg.n_bs_rf)
 
 
 def _per_ue(inst: AssociationInstance, per_chain: np.ndarray) -> np.ndarray:
@@ -150,11 +150,7 @@ def solution_from_x(inst: AssociationInstance, x: np.ndarray, z=None) -> Associa
 
 
 def empty_solution(inst: AssociationInstance) -> AssociationSolution:
-    return AssociationSolution(
-        x=np.zeros(inst.c.shape, dtype=int),
-        z=np.zeros(inst.n_ue, dtype=int),
-        per_ue_rate=np.zeros(inst.n_ue),
-    )
+    return solution_from_x(inst, np.zeros(inst.c.shape, dtype=int))
 
 
 def check_feasibility(
@@ -260,17 +256,6 @@ def instance_from_dict(data: dict) -> AssociationInstance:
 
 def solution_to_dict(inst: AssociationInstance, sol: AssociationSolution) -> dict:
     """Instance dict extended with the solution and its metrics."""
-    m = metrics(inst, sol)
     out = instance_to_dict(inst)
-    out.update(
-        {
-            "x": sol.x.tolist(),
-            "z": sol.z.tolist(),
-            "metrics": {
-                "n_associated": m.n_associated,
-                "n_satisfied": m.n_satisfied,
-                "sum_rate_bps": m.sum_rate_bps,
-            },
-        }
-    )
+    out.update(x=sol.x.tolist(), z=sol.z.tolist(), metrics=asdict(metrics(inst, sol)))
     return out

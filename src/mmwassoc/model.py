@@ -18,6 +18,9 @@ All randomness is drawn from PCG64 generators seeded by splitting
 ``SeedSequence(cfg.seed)`` into one child stream per sampled quantity
 (UE positions, rate requirements, true AoA, true AoD, AoA error, AoD
 error, in that order), so realizations are bit-reproducible.
+
+The capacity matrix is a plain read-only array in bit/s, rows = UE RF
+chains, cols = BS RF chains; `AssociationInstance` validates it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ DISTANCE_FLOOR_M = 1.0
 _RNG_STREAMS = ("ue_pos", "rate", "true_aoa", "true_aod", "err_aoa", "err_aod")
 
 POWER_SPLIT_MODES = ("as-printed", "per-chain")
+
+# Parser of each field type annotation of the flat dataclasses read from text.
+FIELD_PARSERS = {"int": int, "float": float, "str": str}
 
 
 @dataclass(frozen=True)
@@ -111,12 +117,12 @@ class ScenarioConfig:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in kwargs:
                 raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-            if types[key] == "int":
-                kwargs[key] = int(value)
-            elif types[key] == "float":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+            try:
+                kwargs[key] = FIELD_PARSERS[types[key]](value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: {key!r} expects {types[key]}, got {value!r}"
+                ) from None
         return cls(**kwargs)
 
 
@@ -138,19 +144,6 @@ class ScenarioRealization:
     est_aoa: np.ndarray
     est_aod: np.ndarray
     path_gain: np.ndarray  # (n_ue, n_bs) linear
-
-
-@dataclass(frozen=True)
-class CapacityMatrix:
-    """Link capacities in bit/s, rows = UE RF chains, cols = BS RF chains."""
-
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.c.ndim != 2:
-            raise ValueError("capacity matrix must be 2-D")
-        if not np.all(np.isfinite(self.c)) or np.any(self.c < 0):
-            raise ValueError("capacities must be finite and >= 0")
 
 
 def steering_vector(angle: float, n: int) -> np.ndarray:
@@ -284,8 +277,9 @@ def sample_scenario(cfg: ScenarioConfig) -> ScenarioRealization:
     )
 
 
-def build_capacity_matrix(real: ScenarioRealization, cfg: ScenarioConfig) -> CapacityMatrix:
-    """Capacity of every (UE RF chain, BS RF chain) pair, shape U_v x B_v."""
+def build_capacity_matrix(real: ScenarioRealization, cfg: ScenarioConfig) -> np.ndarray:
+    """Read-only capacity in bit/s of every (UE RF chain, BS RF chain) pair,
+    shape U_v x B_v."""
     shape = (cfg.n_ue_chains, cfg.n_bs_chains)
     if real.true_aoa.shape != shape or real.path_gain.shape != (cfg.n_ue, cfg.n_bs):
         raise ValueError(
@@ -296,4 +290,4 @@ def build_capacity_matrix(real: ScenarioRealization, cfg: ScenarioConfig) -> Cap
     gain_bs = beamforming_gain(real.est_aod, real.true_aod, cfg.n_bs_ant)
     pg = np.repeat(np.repeat(real.path_gain, cfg.n_ue_rf, axis=0), cfg.n_bs_rf, axis=1)
     c = link_capacity(pg, gain_ue, gain_bs, cfg)
-    return CapacityMatrix(c=_freeze(np.asarray(c)))
+    return _freeze(np.asarray(c))

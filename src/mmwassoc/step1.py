@@ -320,17 +320,17 @@ def solve_step1_exact(
     stack_pairs: list = []
     state_best: dict[int, float] = {}
 
-    def fail() -> NodeBudgetExceeded:
+    def best_solution() -> AssociationSolution:
         x = np.zeros(inst.c.shape, dtype=int)
         for i, j in best_pairs:
             x[i, j] = 1
-        return NodeBudgetExceeded(node_budget, solution_from_x(inst, x))
+        return solution_from_x(inst, x)
 
     def dfs(u: int, used_mask: int, free_count: int, score: float) -> None:
         nonlocal best_score, best_pairs, nodes
         nodes += 1
         if nodes > node_budget:
-            raise fail()
+            raise NodeBudgetExceeded(node_budget, best_solution())
         if u == n_ue:
             if score > best_score + _TIE_EPS:
                 best_score, best_pairs = score, tuple(stack_pairs)
@@ -355,8 +355,4 @@ def solve_step1_exact(
         dfs(u + 1, used_mask, free_count, score)  # leave u unassociated
 
     dfs(0, 0, n_bc, 0.0)
-
-    x = np.zeros(inst.c.shape, dtype=int)
-    for i, j in best_pairs:
-        x[i, j] = 1
-    return solution_from_x(inst, x)
+    return best_solution()

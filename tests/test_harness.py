@@ -385,6 +385,30 @@ def test_cli_simulate_invalid_spec_exits_2_with_one_error_line(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_simulate_nonpositive_exact_budget_exits_2_with_one_error_line(tmp_path, capsys):
+    # A budget below 1 would overrun in every exact cell and record incumbents.
+    cfg_path = tmp_path / "desk.cfg"
+    replace(DESK, n_ue=4).to_config_file(cfg_path)
+    args = ["simulate", "--config", str(cfg_path), "--runs", "1", "--rmax-sweep", "1e9"]
+    args += ["--exact-budget", "-5", "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "exact_node_budget" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_out_is_a_file_exits_2_with_one_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "desk.cfg"
+    replace(DESK, n_ue=4).to_config_file(cfg_path)
+    out = tmp_path / "taken"
+    out.write_text("")
+    args = ["simulate", "--config", str(cfg_path), "--schemes", "max-snr", "--runs", "1"]
+    args += ["--rmax-sweep", "1e9", "--out", str(out)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "taken" in err[0]
+
+
 def test_cli_simulate_missing_config_exits_2_with_one_error_line(tmp_path, capsys):
     missing = tmp_path / "nonexistent.cfg"
     args = ["simulate", "--config", str(missing), "--runs", "1", "--out", str(tmp_path / "out")]
@@ -445,6 +469,18 @@ def test_cli_solve(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert "x" in payload and "metrics" in payload
     assert payload["n_ue"] == 3
+
+
+def test_cli_solve_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(_instance_text(lambda d: None))
+    out = tmp_path / "missing_dir" / "x.json"
+    args = ["solve", "--instance", str(inst_path), "--scheme", "max-snr", "--out", str(out)]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "missing_dir" in err[0]
+    assert captured.out == ""
 
 
 def test_cli_solve_budget_exhaustion_exit_code(tmp_path, capsys):

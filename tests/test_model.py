@@ -216,6 +216,13 @@ def test_config_file_rejects_repeated_key(tmp_path):
         m.ScenarioConfig.from_config_file(path)
 
 
+def test_config_file_reports_malformed_number_with_line_and_key(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("n_bs = 3\nn_ue = 1.5\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:2: 'n_ue' expects int, got '1\.5'"):
+        m.ScenarioConfig.from_config_file(path)
+
+
 def test_grid_shape_factorizations():
     assert _grid_shape(5) == (1, 5)
     assert _grid_shape(4) == (2, 2)
@@ -289,27 +296,27 @@ def test_capacity_matrix_single_pair():
     with pytest.warns(UserWarning):
         real = m.sample_scenario(cfg)
     cm = m.build_capacity_matrix(real, cfg)
-    assert cm.c.shape == (1, 1)
+    assert cm.shape == (1, 1)
     want = m.link_capacity(
         real.path_gain[0, 0],
         m.beamforming_gain(real.est_aoa[0, 0], real.true_aoa[0, 0], cfg.n_ue_ant),
         m.beamforming_gain(real.est_aod[0, 0], real.true_aod[0, 0], cfg.n_bs_ant),
         cfg,
     )
-    assert cm.c[0, 0] == pytest.approx(want, rel=1e-14)
+    assert cm[0, 0] == pytest.approx(want, rel=1e-14)
 
 
 def test_capacity_matrix_default_shape():
     cfg = m.ScenarioConfig()
     cm = m.build_capacity_matrix(m.sample_scenario(cfg), cfg)
-    assert cm.c.shape == (60, 25)
+    assert cm.shape == (60, 25)
 
 
 def test_capacity_matrix_bit_exact_reproducible():
     cfg = m.ScenarioConfig(seed=23)
     a = m.build_capacity_matrix(m.sample_scenario(cfg), cfg)
     b = m.build_capacity_matrix(m.sample_scenario(cfg), cfg)
-    np.testing.assert_array_equal(a.c, b.c)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_capacity_matrix_perfect_alignment_dominates_perturbed():
@@ -329,7 +336,7 @@ def test_capacity_matrix_perfect_alignment_dominates_perturbed():
             path_gain=real.path_gain,
         )
         perturbed = m.build_capacity_matrix(bumped, cfg)
-        assert np.all(aligned.c >= perturbed.c - 1e-6)
+        assert np.all(aligned >= perturbed - 1e-6)
 
 
 def test_capacity_matrix_shares_path_gain_within_device_pair():
@@ -342,7 +349,7 @@ def test_capacity_matrix_shares_path_gain_within_device_pair():
     g_bs = m.beamforming_gain(real.est_aod, real.true_aod, cfg.n_bs_ant)
     p_mw = 10 ** (cfg.tx_power_dbm / 10)
     n0 = 10 ** (cfg.noise_psd_dbm_hz / 10)
-    snr = 2 ** (cm.c / cfg.bandwidth_hz) - 1
+    snr = 2 ** (cm / cfg.bandwidth_hz) - 1
     implied = snr * cfg.bandwidth_hz * n0 * cfg.n_bs_rf**2 / (
         p_mw * cfg.n_ue_ant * cfg.n_bs_ant * g_ue * g_bs
     )
@@ -363,5 +370,7 @@ def test_capacity_matrix_rejects_mismatched_config():
 
 
 def test_capacity_matrix_rejects_negative():
-    with pytest.raises(ValueError):
-        m.CapacityMatrix(c=np.array([[-1.0]]))
+    cfg = m.ScenarioConfig(n_bs=1, n_ue=1, n_bs_rf=1, n_ue_rf=1)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="capacities must be finite and >= 0"):
+            m.instance_from_capacity(np.array([[bad]]), np.array([1e9]), cfg)
