@@ -12,8 +12,10 @@ plus a zero-cost overflow edge source -> sink.  Link edges carry cost
 overflow absorbs the supply of BS chains that no UE chain can use,
 keeping the full supply routable.  All capacities and supplies are
 integers, hence an integral optimum always exists and the successive
-shortest-path solver returns one.  The edges are one record array of
-dtype EDGE_DTYPE: int64 tail, head and capacity, float64 cost.
+shortest-path solver returns one: it first moves the supply onto the
+free BS chains, then routes each chain's unit by a shortest-path search
+that starts at that chain.  The edges are one record array of dtype
+EDGE_DTYPE: int64 tail, head and capacity, float64 cost.
 
 The network has no per-BS budget or per-UE cap layer because neither
 can bind: a BS's leftover budget equals its number of free chains, and
@@ -58,6 +60,13 @@ class ResidualInstance:
         if self.c.shape != (len(self.ue_chain_ids), len(self.bs_chain_ids)):
             raise ValueError("capacity block does not match chain id lists")
 
+
+# A Bellman-Ford relaxation must lower a label by more than this.  Costs
+# whose decimal values cancel around a cycle, such as -0.1, -0.2 and 0.3,
+# sum in float64 to a few 1e-17 below zero; without the margin such a
+# cycle keeps lowering labels for all n passes and is reported as a
+# negative-cost cycle.
+_RELAX_MARGIN = 1e-12
 
 EDGE_DTYPE = np.dtype([("tail", "i8"), ("head", "i8"), ("capacity", "i8"), ("cost", "f8")])
 
@@ -127,29 +136,46 @@ def build_flow_network(res: ResidualInstance) -> FlowNetwork:
 def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     """Integral min-cost flow of the full supply, one unit count per edge.
 
-    Successive shortest augmenting paths on reduced costs (Ahuja,
-    Magnanti & Orlin, *Network Flows*, 1993, section 9.7): one
-    Bellman-Ford pass seeds the node potentials (absorbing the negative
-    link costs), then Dijkstra finds each augmenting path.  Integer
-    capacities make every augmentation integral.
+    Successive shortest paths between excess and deficit vertices on
+    reduced costs (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+    section 9.7): one Bellman-Ford pass seeds the node potentials
+    (absorbing the negative link costs), then each Dijkstra search finds
+    a shortest path from one vertex with excess to a vertex with a
+    deficit.  Integer capacities make every augmentation integral.
 
-    Dijkstra stops as soon as it settles the sink, and each potential
-    then grows by min(dist[v], dist[sink]), a vertex left unlabelled
-    counting as dist[sink].  Every vertex still in the heap has a label
-    of at least dist[sink], so this keeps every residual reduced cost
-    non-negative, which the next search needs.  Supply is unroutable
-    when the sink is never settled.
+    The source first pushes its supply, in arc order, along its out-arcs
+    whose clamped reduced cost is 0; each head then holds the units it
+    got as its own excess, and what no such arc takes stays at the
+    source.  Every reduced cost stays non-negative, since the reverse of
+    a zero-cost arc costs 0 too.  The searches then start from the
+    lowest-index vertex with excess (no vertex gains excess, so the
+    index only grows) and stop at the first vertex with a deficit they
+    settle, which is the sink.  In the step-2 network each free BS chain
+    gets its unit this way, and a search from one chain settles only the
+    UE chains within its reach before the sink.  A search from the
+    source would first settle every free chain at its equal label and
+    scan all of their links.  Supply is unroutable when a search runs
+    out of vertices without settling a deficit.
+
+    After each search every potential grows by min(dist[v], dist[end]),
+    end being the deficit vertex settled and a vertex left unlabelled
+    counting as dist[end].  This keeps every residual reduced cost
+    non-negative whatever vertex the search started from: an arc out of
+    a settled vertex was relaxed, so its head's label exceeds its tail's
+    by at most the arc's reduced cost, and every vertex not settled
+    grows by dist[end], at least as much as any vertex.  Arcs of the
+    path have reduced cost 0 after the update, so their reverses do too.
 
     Dijkstra scans only live arcs: adj[u] holds u's arcs of positive
     capacity in increasing arc order, the order in which a scan of all
     of u's arcs would meet them, so ties fall the same way.  An arc
-    leaves its list when an augmentation saturates it and rejoins it
-    (by bisect.insort) when its reverse carries flow again.  Arcs into
-    vertices Bellman-Ford cannot reach are never listed: augmentations
-    add reverse arcs only between vertices of a path, so no arc into
-    those vertices ever appears.  A head already settled is skipped,
-    since with non-negative reduced costs relaxing it cannot lower its
-    label.
+    leaves its list when a push saturates it and rejoins it (by
+    bisect.insort) when its reverse carries flow again.  Arcs into
+    vertices Bellman-Ford cannot reach are never listed: pushes add
+    reverse arcs only between vertices the source reaches, so no arc
+    into those vertices ever appears.  A head already settled is
+    skipped, since with non-negative reduced costs relaxing it cannot
+    lower its label.
 
     Both loops read one arc at a time, so the arc data live in Python
     lists (arc 2k is edge k, arc 2k + 1 its reverse): indexing a list
@@ -184,7 +210,7 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     for _ in range(n):
         changed = False
         for u, v, w in live:
-            if pot[u] + w < pot[v] - 1e-12:
+            if pot[u] + w < pot[v] - _RELAX_MARGIN:
                 pot[v] = pot[u] + w
                 changed = True
         if not changed:
@@ -197,61 +223,79 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
         if cap[a] > 0 and pot[to[a]] < math.inf:
             adj[u].append(a)
     reached = [v for v in range(n) if pot[v] < math.inf]
-
-    source, sink = net.source, net.sink
     flow = [0] * len(edges)
-    remaining = int(net.supply)
-    while remaining > 0:
-        dist = [math.inf] * n
-        parent = [-1] * n
-        done = [False] * n
-        dist[source] = 0.0
-        heap = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            if u == sink:
-                break
-            pot_u = pot[u]
-            for e in adj[u]:
-                v = to[e]
-                if done[v]:
-                    continue
-                reduced = cost[e] + pot_u - pot[v]
-                if reduced < 0.0:  # max(reduced, 0.0): round-off below zero
-                    reduced = 0.0
-                nd = d + reduced
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = e
-                    heapq.heappush(heap, (nd, v))
-        if not done[sink]:
-            raise ValueError("supply cannot be routed to the sink")
 
-        push = remaining
-        v = sink
-        while v != source:
-            e = parent[v]
-            push = min(push, cap[e])
-            v = tail[e]
-        v = sink
-        while v != source:
-            e = parent[v]
-            v = tail[e]
-            cap[e] -= push
-            if cap[e] == 0:
-                arcs = adj[v]
-                del arcs[bisect.bisect_left(arcs, e)]
-            if cap[e ^ 1] == 0:
-                bisect.insort(adj[to[e]], e ^ 1)
-            cap[e ^ 1] += push
-            flow[e // 2] += push if e % 2 == 0 else -push
-        remaining -= push
-        d_sink = dist[sink]
-        for v in reached:
-            pot[v] += dist[v] if dist[v] < d_sink else d_sink
+    def push(e: int, units: int) -> None:
+        cap[e] -= units
+        if cap[e] == 0:
+            arcs = adj[tail[e]]
+            del arcs[bisect.bisect_left(arcs, e)]
+        if cap[e ^ 1] == 0:
+            bisect.insort(adj[to[e]], e ^ 1)
+        cap[e ^ 1] += units
+        flow[e // 2] += units if e % 2 == 0 else -units
+
+    source = net.source
+    excess = [0] * n
+    excess[source] += int(net.supply)
+    excess[net.sink] -= int(net.supply)
+    for e in list(adj[source]):  # a copy: push edits the list
+        if excess[source] == 0:
+            break
+        v = to[e]
+        if cost[e] + pot[source] - pot[v] <= 0.0:  # clamped reduced cost 0
+            units = min(excess[source], cap[e])
+            push(e, units)
+            excess[source] -= units
+            excess[v] += units
+
+    for start in range(n):
+        while excess[start] > 0:
+            dist = [math.inf] * n
+            parent = [-1] * n
+            done = [False] * n
+            dist[start] = 0.0
+            heap = [(0.0, start)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if done[u]:
+                    continue
+                done[u] = True
+                if excess[u] < 0:
+                    break
+                pot_u = pot[u]
+                for e in adj[u]:
+                    v = to[e]
+                    if done[v]:
+                        continue
+                    reduced = cost[e] + pot_u - pot[v]
+                    if reduced < 0.0:  # max(reduced, 0.0): round-off below zero
+                        reduced = 0.0
+                    nd = d + reduced
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = e
+                        heapq.heappush(heap, (nd, v))
+            else:
+                raise ValueError("supply cannot be routed to the sink")
+
+            end = u
+            units = min(excess[start], -excess[end])
+            v = end
+            while v != start:
+                e = parent[v]
+                units = min(units, cap[e])
+                v = tail[e]
+            v = end
+            while v != start:
+                e = parent[v]
+                v = tail[e]
+                push(e, units)
+            excess[start] -= units
+            excess[end] += units
+            d_end = dist[end]
+            for v in reached:
+                pot[v] += dist[v] if dist[v] < d_end else d_end
 
     return np.array(flow, dtype=np.int64)
 
