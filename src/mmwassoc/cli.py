@@ -10,7 +10,7 @@ codes: 0 on success; 2, with one `error:` line on stderr, when simulate
 is given a config file it cannot read, or an invalid config, sweep, run
 count or exact budget; when solve is given an instance it cannot read
 or the exact search runs out of node budget; or when either command
-cannot write to --out.
+cannot write to --out (simulate finds out before it solves any cell).
 """
 
 from __future__ import annotations
@@ -78,6 +78,10 @@ def _cmd_simulate(args) -> int:
             measure_time=args.measure_time,
         )
     except (OSError, ValueError) as exc:
+        return _error(exc)
+    try:  # before the sweep, so a bad --out fails without solving a cell
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
         return _error(exc)
     records = harness.run_experiment(spec)
     try:

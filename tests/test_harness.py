@@ -397,13 +397,31 @@ def test_cli_simulate_nonpositive_exact_budget_exits_2_with_one_error_line(tmp_p
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_simulate_out_is_a_file_exits_2_with_one_error_line(tmp_path, capsys):
+def _sweep_must_not_run(spec):
+    raise AssertionError("the sweep ran before --out was found unwritable")
+
+
+def test_cli_simulate_out_is_a_file_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "run_experiment", _sweep_must_not_run)
     cfg_path = tmp_path / "desk.cfg"
     replace(DESK, n_ue=4).to_config_file(cfg_path)
     out = tmp_path / "taken"
     out.write_text("")
     args = ["simulate", "--config", str(cfg_path), "--schemes", "max-snr", "--runs", "1"]
     args += ["--rmax-sweep", "1e9", "--out", str(out)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "taken" in err[0]
+
+
+def test_cli_simulate_out_below_a_file_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    # A directory that cannot be created: its parent is a regular file.
+    monkeypatch.setattr(harness, "run_experiment", _sweep_must_not_run)
+    cfg_path = tmp_path / "desk.cfg"
+    replace(DESK, n_ue=4).to_config_file(cfg_path)
+    (tmp_path / "taken").write_text("")
+    args = ["simulate", "--config", str(cfg_path), "--runs", "1", "--rmax-sweep", "1e9"]
+    args += ["--out", str(tmp_path / "taken" / "results")]
     assert cli.main(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "taken" in err[0]
