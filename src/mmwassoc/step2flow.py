@@ -62,8 +62,8 @@ class ResidualInstance:
 
 
 # A Bellman-Ford relaxation must lower a label by more than this.  Costs
-# whose decimal values cancel around a cycle, such as -0.1, -0.2 and 0.3,
-# sum in float64 to a few 1e-17 below zero; without the margin such a
+# whose decimal values cancel around a cycle, such as -0.1, -1.1 and 1.2,
+# can sum in float64 to a few 1e-16 below zero; without the margin such a
 # cycle keeps lowering labels for all n passes and is reported as a
 # negative-cost cycle.
 _RELAX_MARGIN = 1e-12

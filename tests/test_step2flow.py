@@ -205,6 +205,19 @@ def test_negative_cycle_rejected():
         step2flow.solve_min_cost_flow(net)
 
 
+def test_round_off_zero_cycle_is_not_a_negative_cycle():
+    # -0.1 - 1.1 + 1.2 sums to about -2.2e-16 in float64; _RELAX_MARGIN
+    # keeps Bellman-Ford from relabelling around it for all n passes.
+    net = FlowNetwork(
+        n_vertices=4,
+        edges=edge_array((0, 1, 1, -0.1), (1, 2, 1, -1.1), (2, 0, 1, 1.2), (2, 3, 1, 0.0)),
+        supply=1,
+        source=0,
+        sink=3,
+    )
+    assert step2flow.solve_min_cost_flow(net).tolist() == [1, 1, 0, 1]
+
+
 def test_unroutable_supply_rejected():
     # No overflow edge and not enough path capacity for the supply.
     net = FlowNetwork(
@@ -263,9 +276,8 @@ def node_arc_lp(net):
     return linprog(e.cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
 
 
-@settings(max_examples=400)
-@given(general_networks())
-def test_min_cost_flow_matches_node_arc_lp_on_general_networks(net):
+def assert_matches_node_arc_lp(net):
+    """Same feasibility and total cost as HiGHS, with a valid integral flow."""
     want = node_arc_lp(net)
     assert want.status in (0, 2)  # optimal or infeasible; never unbounded
     if want.status == 2:
@@ -284,6 +296,94 @@ def test_min_cost_flow_matches_node_arc_lp_on_general_networks(net):
     want_balance[net.sink] = net.supply
     np.testing.assert_array_equal(balance, want_balance)
     assert float(flow @ e.cost) == pytest.approx(want.fun, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=400)
+@given(general_networks())
+def test_min_cost_flow_matches_node_arc_lp_on_general_networks(net):
+    assert_matches_node_arc_lp(net)
+
+
+@st.composite
+def excess_networks(draw):
+    """Networks whose source and sink are any two distinct vertices.
+
+    The source's out-arcs cost 1 to 10 and carry 2 to 4 units, so some
+    of them have a zero reduced cost and some do not, one vertex can
+    take several units from the source push, and supply the push
+    cannot place stays at the source.  Every other edge costs b +
+    phi[tail] - phi[head] with b in 0..10 and phi in 0..5, phi being 0
+    at the source: costs go negative, yet every cycle costs at least
+    its edges' b, so none is negative.
+    """
+    n = draw(st.integers(2, 10))
+    source, sink = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    phi = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    phi[source] = 0
+    records = []
+    for _ in range(draw(st.integers(1, 40))):
+        tail = draw(st.integers(0, n - 1))
+        head = draw(st.integers(0, n - 1).filter(lambda h, t=tail: h != t))
+        if tail == source:
+            cap, cost = draw(st.integers(2, 4)), draw(st.integers(1, 10))
+        else:
+            cap, cost = draw(st.integers(0, 4)), draw(st.integers(0, 10)) + phi[tail] - phi[head]
+        records.append((tail, head, cap, float(cost)))
+    return FlowNetwork(
+        n_vertices=n,
+        edges=edge_array(*records),
+        supply=draw(st.integers(0, 10)),
+        source=source,
+        sink=sink,
+    )
+
+
+@settings(max_examples=400)
+@given(excess_networks())
+def test_min_cost_flow_matches_node_arc_lp_from_any_source_and_sink(net):
+    assert_matches_node_arc_lp(net)
+
+
+# (n_vertices, edges, supply, source, sink, flow) of networks where the
+# source push leaves the searches a particular start.
+EXCESS_CASES = {
+    # 0 -> 2 costs 4 more than 0 -> 1 -> 2, so the push takes only 0 -> 1
+    # and its 2 units; the third unit stays at the source.
+    "excess-stays-at-source": (
+        4,
+        [(0, 1, 2, 0.0), (0, 2, 2, 5.0), (1, 2, 2, 1.0), (1, 3, 2, 0.0), (2, 3, 2, 0.0)],
+        3, 0, 3, [2, 1, 0, 2, 1],
+    ),
+    # All 3 units land on vertex 1, which splits them over two routes.
+    "excess-above-1-at-one-vertex": (
+        4,
+        [(0, 1, 3, 0.0), (1, 2, 1, 1.0), (1, 3, 3, 2.0), (2, 3, 1, 0.0)],
+        3, 0, 3, [3, 1, 2, 1],
+    ),
+    # Source 2 and sink 0: the push sends 2 units straight to the sink and
+    # leaves 1 at vertex 1, below the source.
+    "zero-cost-arc-from-source-to-sink": (
+        3,
+        [(2, 1, 1, 0.0), (1, 0, 1, 0.0), (2, 0, 2, 0.0)],
+        3, 2, 0, [1, 1, 2],
+    ),
+}
+
+
+@pytest.mark.parametrize("n, records, supply, source, sink, want", EXCESS_CASES.values(), ids=EXCESS_CASES)
+def test_min_cost_flow_routes_each_start_of_the_source_push(n, records, supply, source, sink, want):
+    net = FlowNetwork(n, edge_array(*records), supply, source, sink)
+    assert step2flow.solve_min_cost_flow(net).tolist() == want
+    assert_matches_node_arc_lp(net)
+
+
+def test_unroutable_supply_detected_from_a_pushed_vertex():
+    # The push leaves 1 unit on the dead end 1 and sends 1 straight to the
+    # sink 2; the search from vertex 1 finds no deficit and gives up.
+    net = FlowNetwork(3, edge_array((0, 1, 1, 0.0), (0, 2, 1, 5.0)), 2, 0, 2)
+    with pytest.raises(ValueError, match="routed"):
+        step2flow.solve_min_cost_flow(net)
+    assert node_arc_lp(net).status == 2
 
 
 @settings(max_examples=200)
