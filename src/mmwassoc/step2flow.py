@@ -226,6 +226,8 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     flow = [0] * len(edges)
 
     def push(e: int, units: int) -> None:
+        excess[tail[e]] -= units
+        excess[to[e]] += units
         cap[e] -= units
         if cap[e] == 0:
             arcs = adj[tail[e]]
@@ -242,12 +244,8 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     for e in list(adj[source]):  # a copy: push edits the list
         if excess[source] == 0:
             break
-        v = to[e]
-        if cost[e] + pot[source] - pot[v] <= 0.0:  # clamped reduced cost 0
-            units = min(excess[source], cap[e])
-            push(e, units)
-            excess[source] -= units
-            excess[v] += units
+        if cost[e] + pot[source] - pot[to[e]] <= 0.0:  # clamped reduced cost 0
+            push(e, min(excess[source], cap[e]))
 
     for start in range(n):
         while excess[start] > 0:
@@ -291,8 +289,6 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
                 e = parent[v]
                 v = tail[e]
                 push(e, units)
-            excess[start] -= units
-            excess[end] += units
             d_end = dist[end]
             for v in reached:
                 pot[v] += dist[v] if dist[v] < d_end else d_end
