@@ -24,13 +24,13 @@ def max_sum_rate(inst: AssociationInstance) -> AssociationSolution:
 def max_snr(inst: AssociationInstance) -> AssociationSolution:
     """Sequential per-BS greedy: each chain takes the best free UE chain.
 
-    BSs are visited in ascending order; capacity is the monotone proxy
-    for SNR at fixed bandwidth.  Zero-capacity pairings are skipped;
-    capacity ties go to the lowest UE chain index.
+    BS chains are visited in index order, so BSs in ascending order;
+    capacity is the monotone proxy for SNR at fixed bandwidth.  Pairings
+    of zero capacity are skipped; ties go to the lowest UE chain index.
     """
     x = np.zeros(inst.c.shape, dtype=int)
-    free = np.ones(inst.n_ue_chains, dtype=bool)
-    for j in np.argsort(inst.bs_of_chain, kind="stable"):
+    free = np.ones(inst.c.shape[0], dtype=bool)
+    for j in range(inst.c.shape[1]):
         gains = np.where(free, inst.c[:, j], 0.0)
         if gains.max(initial=0.0) <= 0.0:
             continue

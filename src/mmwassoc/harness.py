@@ -64,6 +64,8 @@ class ExperimentSpec:
         if not all(self.base.r_min_bps <= r < np.inf for r in self.r_max_sweep):
             raise ValueError("every sweep value must be finite and >= the base r_min_bps")
         for name, values in (("schemes", self.schemes), ("r_max_sweep", self.r_max_sweep)):
+            if not values:
+                raise ValueError(f"{name} must not be empty")
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat a value")
 
@@ -89,7 +91,6 @@ _MEAN_FIELDS = RECORD_FIELDS[RECORD_FIELDS.index("scheme") + 1 :]
 class TwoStepResult:
     combined: AssociationSolution
     step1_solution: AssociationSolution
-    residual: step2flow.ResidualInstance
 
 
 def merge_solutions(
@@ -136,7 +137,6 @@ def complete_two_step(inst: AssociationInstance, first: AssociationSolution) -> 
     return TwoStepResult(
         combined=merge_solutions(inst, first, res, step2flow.solve_step2(res)),
         step1_solution=first,
-        residual=res,
     )
 
 

@@ -1,7 +1,9 @@
 """Association instances, constraint auditing, objective, and metrics.
 
 An instance holds the chain-level capacity matrix, per-UE rate
-requirements, and the chain-ownership maps.  A solution is a binary
+requirements and the chain count of every UE and BS.  Chain ownership is
+a rule, not data: UE chain i belongs to UE i // n_ue_rf and BS chain j to
+BS j // n_bs_rf, the layout `model` samples.  A solution is a binary
 assignment ``x`` over (UE RF chain, BS RF chain) pairs plus per-UE
 association flags ``z``.
 
@@ -22,7 +24,8 @@ those with ``constraints=STRUCTURAL_CONSTRAINTS``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,33 +36,29 @@ ALL_CONSTRAINTS = ("5b", "5c", "5d", "5e", "5f")
 STRUCTURAL_CONSTRAINTS = ("5b", "5c", "5d", "5e")
 
 
-def _check_rf_counts(n_ue_rf: int, n_bs_rf: int) -> None:
-    if n_ue_rf < 1 or n_bs_rf < 1:
-        raise ValueError("n_ue_rf and n_bs_rf must be >= 1")
-
-
 @dataclass(frozen=True)
 class AssociationInstance:
-    """Capacity matrix plus requirements and chain-ownership maps."""
+    """Capacity matrix, requirements and per-device chain counts.
 
-    c: np.ndarray  # (n_ue_chains, n_bs_chains) bit/s
+    UE chain i belongs to UE i // n_ue_rf and BS chain j to BS j // n_bs_rf;
+    ``ue_of_chain`` and ``bs_of_chain`` are derived from that rule.
+    """
+
+    c: np.ndarray  # (n_ue * n_ue_rf, n_bs * n_bs_rf) bit/s
     rate_req: np.ndarray  # (n_ue,) bit/s
     n_ue_rf: int
     n_bs_rf: int
-    ue_of_chain: np.ndarray  # (n_ue_chains,) UE index per UE chain
-    bs_of_chain: np.ndarray  # (n_bs_chains,) BS index per BS chain
+    ue_of_chain: np.ndarray = field(init=False)  # UE index per UE chain
+    bs_of_chain: np.ndarray = field(init=False)  # BS index per BS chain
 
     def __post_init__(self) -> None:
-        _check_rf_counts(self.n_ue_rf, self.n_bs_rf)
+        if operator.index(self.n_ue_rf) < 1 or operator.index(self.n_bs_rf) < 1:
+            raise ValueError("n_ue_rf and n_bs_rf must be >= 1")
         n_uc, n_bc = self.c.shape
-        if self.ue_of_chain.shape != (n_uc,) or self.bs_of_chain.shape != (n_bc,):
-            raise ValueError("ownership maps must match capacity matrix shape")
-        ue_counts = np.bincount(self.ue_of_chain, minlength=self.n_ue)
-        bs_counts = np.bincount(self.bs_of_chain, minlength=self.n_bs)
-        if not np.all(ue_counts == self.n_ue_rf):
-            raise ValueError("each UE must own exactly n_ue_rf chains")
-        if not np.all(bs_counts == self.n_bs_rf):
-            raise ValueError("each BS must own exactly n_bs_rf chains")
+        if n_uc % self.n_ue_rf or n_bc % self.n_bs_rf:
+            raise ValueError("each UE must own exactly n_ue_rf chains, each BS n_bs_rf")
+        object.__setattr__(self, "ue_of_chain", np.arange(n_uc) // self.n_ue_rf)
+        object.__setattr__(self, "bs_of_chain", np.arange(n_bc) // self.n_bs_rf)
         if self.rate_req.shape != (self.n_ue,):
             raise ValueError("rate_req length must equal the number of UEs")
         if not np.all(np.isfinite(self.rate_req)) or np.any(self.rate_req <= 0):
@@ -74,14 +73,6 @@ class AssociationInstance:
     @property
     def n_bs(self) -> int:
         return self.c.shape[1] // self.n_bs_rf
-
-    @property
-    def n_ue_chains(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def n_bs_chains(self) -> int:
-        return self.c.shape[1]
 
 
 @dataclass(frozen=True)
@@ -109,17 +100,9 @@ class SolutionMetrics:
 def make_instance(
     c: np.ndarray, rate_req: np.ndarray, n_ue_rf: int, n_bs_rf: int
 ) -> AssociationInstance:
-    """Instance with canonical ownership: chain k belongs to device k // per-device count."""
-    _check_rf_counts(n_ue_rf, n_bs_rf)  # before the counts divide
-    c = np.asarray(c, dtype=float)
-    rate_req = np.asarray(rate_req, dtype=float)
+    """Instance from array-likes of capacities and requirements."""
     return AssociationInstance(
-        c=c,
-        rate_req=rate_req,
-        n_ue_rf=n_ue_rf,
-        n_bs_rf=n_bs_rf,
-        ue_of_chain=np.arange(c.shape[0]) // n_ue_rf,
-        bs_of_chain=np.arange(c.shape[1]) // n_bs_rf,
+        np.asarray(c, dtype=float), np.asarray(rate_req, dtype=float), n_ue_rf, n_bs_rf
     )
 
 
@@ -133,19 +116,15 @@ def _per_ue(inst: AssociationInstance, per_chain: np.ndarray) -> np.ndarray:
     return np.bincount(inst.ue_of_chain, weights=per_chain, minlength=inst.n_ue)
 
 
-def solution_from_x(inst: AssociationInstance, x: np.ndarray, z=None) -> AssociationSolution:
-    """Complete a solution from x: derive per-UE rates and, unless given, z.
-
-    The derived z flags any UE with at least one active link.
-    """
+def solution_from_x(inst: AssociationInstance, x: np.ndarray) -> AssociationSolution:
+    """Complete a solution from x: per-UE rates, and z flagging every UE with a link."""
     x = np.asarray(x)
     if x.shape != inst.c.shape:
         raise ValueError(f"x shape {x.shape} does not match instance {inst.c.shape}")
-    per_ue_rate = _per_ue(inst, (x * inst.c).sum(axis=1))
-    if z is None:
-        z = (_per_ue(inst, x.sum(axis=1)) > 0).astype(int)
     return AssociationSolution(
-        x=x.astype(int), z=np.asarray(z, dtype=int), per_ue_rate=per_ue_rate
+        x=x.astype(int),
+        z=(_per_ue(inst, x.sum(axis=1)) > 0).astype(int),
+        per_ue_rate=_per_ue(inst, (x * inst.c).sum(axis=1)),
     )
 
 
@@ -205,8 +184,7 @@ def weight_term(c_ij, r_u, n_ue_rf: int):
         raise ValueError("rate requirement must be > 0")
     if np.any(np.asarray(c_ij) < 0):
         raise ValueError("capacity must be >= 0")
-    w = 1.0 / (n_ue_rf + 1.0 + np.asarray(c_ij, dtype=float) / r_u)
-    return float(w) if np.ndim(w) == 0 else w
+    return 1.0 / (n_ue_rf + 1.0 + np.asarray(c_ij, dtype=float) / r_u)
 
 
 def objective_step1(inst: AssociationInstance, sol: AssociationSolution) -> float:
@@ -244,14 +222,16 @@ def instance_to_dict(inst: AssociationInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> AssociationInstance:
-    return AssociationInstance(
-        c=np.asarray(data["capacity_bps"], dtype=float),
-        rate_req=np.asarray(data["rate_req_bps"], dtype=float),
-        n_ue_rf=int(data["n_ue_rf"]),
-        n_bs_rf=int(data["n_bs_rf"]),
-        ue_of_chain=np.asarray(data["ue_of_chain"], dtype=int),
-        bs_of_chain=np.asarray(data["bs_of_chain"], dtype=int),
+    """Inverse of instance_to_dict; the ownership maps must follow the rule."""
+    if not all(type(data[k]) is int for k in ("n_ue_rf", "n_bs_rf")):
+        raise ValueError("n_ue_rf and n_bs_rf must be integers")
+    inst = make_instance(
+        data["capacity_bps"], data["rate_req_bps"], data["n_ue_rf"], data["n_bs_rf"]
     )
+    for key in ("ue_of_chain", "bs_of_chain"):
+        if data[key] != getattr(inst, key).tolist():
+            raise ValueError(f"{key} must map chain k to device k // its chains per device")
+    return inst
 
 
 def solution_to_dict(inst: AssociationInstance, sol: AssociationSolution) -> dict:

@@ -170,10 +170,7 @@ def beamforming_gain(est_angle, true_angle, n: int):
     )
     # |sum_k exp(j*pi*k*delta)|^2 / n^2, the squared inner product.
     s = np.exp(1j * np.pi * np.multiply.outer(delta, np.arange(n))).sum(axis=-1)
-    gain = (s.real**2 + s.imag**2) / n**2
-    if np.ndim(est_angle) == 0 and np.ndim(true_angle) == 0:
-        return float(gain)
-    return gain
+    return (s.real**2 + s.imag**2) / n**2
 
 
 def path_loss_db(distance_m, carrier_ghz: float):
@@ -190,10 +187,7 @@ def path_loss_db(distance_m, carrier_ghz: float):
             f"non-positive distance clamped to {DISTANCE_FLOOR_M} m", stacklevel=2
         )
     d = np.maximum(d, DISTANCE_FLOOR_M)
-    pl = 32.4 + 21.0 * np.log10(d) + 20.0 * np.log10(carrier_ghz)
-    if np.ndim(distance_m) == 0:
-        return float(pl)
-    return pl
+    return 32.4 + 21.0 * np.log10(d) + 20.0 * np.log10(carrier_ghz)
 
 
 def link_capacity(path_gain, gain_ue, gain_bs, cfg: ScenarioConfig):
@@ -213,10 +207,7 @@ def link_capacity(path_gain, gain_ue, gain_bs, cfg: ScenarioConfig):
         * gain_bs
         / (cfg.bandwidth_hz * n0_mw_hz)
     )
-    cap = cfg.bandwidth_hz * np.log2(1.0 + snr)
-    if np.ndim(cap) == 0:
-        return float(cap)
-    return cap
+    return cfg.bandwidth_hz * np.log2(1.0 + snr)
 
 
 def _grid_shape(n: int) -> tuple[int, int]:

@@ -44,7 +44,6 @@ class NodeBudgetExceeded(RuntimeError):
 
     def __init__(self, budget: int, incumbent: AssociationSolution):
         super().__init__(f"exact search exceeded node budget of {budget}")
-        self.budget = budget
         self.incumbent = incumbent
 
 
@@ -185,7 +184,7 @@ def round_solution(frac: FractionalSolution, inst: AssociationInstance) -> Assoc
             for i, j in best_pairs:
                 x[i, j] = 1
                 free_bs[j] = False  # BS chain consumed
-    return solution_from_x(inst, x, z)
+    return solution_from_x(inst, x)
 
 
 # ---------------------------------------------------------------------------

@@ -45,15 +45,13 @@ class ResidualInstance:
     """Free resources after step 1, restricted to unassociated UEs.
 
     ``c`` has one row per free UE chain and one column per free BS
-    chain; the *_ids arrays give their indices in the parent instance,
-    ``ue_ids`` the unassociated UEs in ascending order and
-    ``ue_of_chain`` the owning UE of every row.
+    chain; the *_ids arrays give their indices in the parent instance
+    and ``ue_of_chain`` the owning UE of every row.
     """
 
     c: np.ndarray
     ue_chain_ids: np.ndarray
     bs_chain_ids: np.ndarray
-    ue_ids: np.ndarray
     ue_of_chain: np.ndarray  # global UE index per row of c
 
     def __post_init__(self) -> None:
@@ -86,13 +84,11 @@ class FlowNetwork:
 def make_residual(inst: AssociationInstance, sol: AssociationSolution) -> ResidualInstance:
     """Strip the chains consumed and UEs associated by a step-1 solution."""
     free_bs = np.flatnonzero(sol.x.sum(axis=0) == 0)
-    na_ues = np.flatnonzero(sol.z == 0)
-    na_rows = np.flatnonzero(np.isin(inst.ue_of_chain, na_ues))
+    na_rows = np.flatnonzero(sol.z[inst.ue_of_chain] == 0)
     return ResidualInstance(
         c=inst.c[np.ix_(na_rows, free_bs)],
         ue_chain_ids=na_rows,
         bs_chain_ids=free_bs,
-        ue_ids=na_ues,
         ue_of_chain=inst.ue_of_chain[na_rows],
     )
 
@@ -304,10 +300,9 @@ def solve_step2(res: ResidualInstance) -> AssociationSolution:
         flow = solve_min_cost_flow(build_flow_network(res))
         # The link edges follow the n_cols source edges, BS chain outer.
         x = flow[n_cols : n_cols * (1 + n_rows)].reshape(n_cols, n_rows).T.astype(int)
-    ue_pos = np.searchsorted(res.ue_ids, res.ue_of_chain)
-    n_ues = len(res.ue_ids)
-    per_ue = np.bincount(ue_pos, weights=(x * res.c).sum(axis=1), minlength=n_ues)
-    links = np.bincount(ue_pos, weights=x.sum(axis=1), minlength=n_ues)
+    ues, ue_pos = np.unique(res.ue_of_chain, return_inverse=True)
+    per_ue = np.bincount(ue_pos, weights=(x * res.c).sum(axis=1), minlength=len(ues))
+    links = np.bincount(ue_pos, weights=x.sum(axis=1), minlength=len(ues))
     return AssociationSolution(x=x, z=(links > 0).astype(int), per_ue_rate=per_ue)
 
 

@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 import mmwassoc as m
 from mmwassoc import step2flow
@@ -25,6 +25,9 @@ settings.register_profile(
     deadline=None,
     derandomize=True,  # reproducible example streams, run to run and machine to machine
     suppress_health_check=[HealthCheck.too_slow],
+    # No explain phase: it runs only after a failure, and on the flow tests
+    # its tracing can take minutes before the failure is reported.
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 settings.load_profile("default")
 
@@ -74,7 +77,6 @@ def random_residual(
         c=rng.uniform(0.0, 3e9, (rows, cols)),
         ue_chain_ids=np.arange(rows),
         bs_chain_ids=np.arange(cols),
-        ue_ids=np.arange(n_ues),
         ue_of_chain=np.arange(rows) // n_ue_rf,
     )
 

@@ -47,8 +47,8 @@ def test_two_step_skips_step2_when_chains_exhausted():
     # One BS chain, one easily satisfied UE: step 1 eats the only chain.
     inst = m.make_instance(np.array([[2e9], [1e9]]), np.array([1e9, 1e9]), 1, 1)
     result = m.run_two_step(inst, "exact")
-    assert result.step1_solution.x.sum() == 1
-    assert result.residual.c.shape[1] == 0
+    assert result.step1_solution.x.sum(axis=0).tolist() == [1]  # every BS chain
+    np.testing.assert_array_equal(result.combined.x, result.step1_solution.x)
 
 
 def test_two_step_merge_is_consistent():
@@ -97,6 +97,14 @@ def test_spec_rejects_repeated_schemes_and_sweep_values():
         tiny_spec(schemes=("max-snr", "max-snr"))
     with pytest.raises(ValueError, match="r_max_sweep"):
         tiny_spec(r_max_sweep=(1e9, 1e9))
+
+
+def test_spec_rejects_empty_schemes_and_sweep():
+    # An empty grid has no records to emit.
+    with pytest.raises(ValueError, match="schemes must not be empty"):
+        tiny_spec(schemes=())
+    with pytest.raises(ValueError, match="r_max_sweep must not be empty"):
+        tiny_spec(r_max_sweep=())
 
 
 def test_spec_rejects_nonfinite_sweep_values():
@@ -372,7 +380,13 @@ def test_cli_simulate_json_format(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--rmax-sweep", "1e9,1e9"), ("--runs", "0"), ("--rmax-sweep", "abc")],
+    [
+        ("--rmax-sweep", "1e9,1e9"),
+        ("--runs", "0"),
+        ("--rmax-sweep", "abc"),
+        ("--schemes", ","),
+        ("--schemes", ""),
+    ],
 )
 def test_cli_simulate_invalid_spec_exits_2_with_one_error_line(tmp_path, capsys, flag, value):
     cfg_path = tmp_path / "desk.cfg"
@@ -461,8 +475,22 @@ def _instance_text(edit):
         (_instance_text(lambda d: d.pop("n_bs_rf")), "missing key 'n_bs_rf'"),
         (_instance_text(lambda d: d.update(rate_req_bps=[-1.0, 1e9, 1e9])), "rate requirements"),
         ("[1, 2]", "list indices"),
+        (_instance_text(lambda d: d.update(n_ue_rf=2.7)), "must be integers"),
+        (_instance_text(lambda d: d.update(ue_of_chain=[0, 0.9, 1, 1, 2, 2])), "ue_of_chain"),
+        (_instance_text(lambda d: d.update(ue_of_chain=[0, 1, 0, 1, 2, 2])), "ue_of_chain"),
+        (_instance_text(lambda d: d.update(bs_of_chain=[0, 1, 0, 1])), "bs_of_chain"),
     ],
-    ids=["missing-file", "not-json", "missing-key", "invalid-instance", "not-an-object"],
+    ids=[
+        "missing-file",
+        "not-json",
+        "missing-key",
+        "invalid-instance",
+        "not-an-object",
+        "fractional-count",
+        "fractional-map",
+        "permuted-map",
+        "permuted-bs-map",
+    ],
 )
 def test_cli_solve_bad_instance_exits_2_with_one_error_line(tmp_path, capsys, text, message):
     inst_path = tmp_path / "inst.json"

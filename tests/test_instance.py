@@ -41,15 +41,12 @@ def test_make_instance_ownership_maps():
 
 
 def test_instance_rejects_uneven_partition():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must own"):
         m.AssociationInstance(
-            c=np.zeros((3, 2)),
-            rate_req=np.array([1.0, 1.0]),
-            n_ue_rf=2,
-            n_bs_rf=1,
-            ue_of_chain=np.array([0, 0, 0]),
-            bs_of_chain=np.array([0, 1]),
+            c=np.zeros((3, 2)), rate_req=np.array([1.0, 1.0]), n_ue_rf=2, n_bs_rf=1
         )
+    with pytest.raises(ValueError, match="must own"):
+        m.AssociationInstance(c=np.zeros((2, 3)), rate_req=np.ones(1), n_ue_rf=2, n_bs_rf=2)
 
 
 def test_instance_rejects_nonpositive_rates():
@@ -72,6 +69,8 @@ def test_instance_rejects_rf_counts_below_one():
         m.make_instance(np.ones((2, 2)), np.ones(2), 0, 1)
     with pytest.raises(ValueError, match="n_bs_rf"):
         m.make_instance(np.ones((2, 2)), np.ones(2), 1, 0)
+    with pytest.raises(TypeError):  # a fractional count would derive float ownership maps
+        m.make_instance(np.ones((2, 2)), np.ones(1), 2.0, 1)
     for key in ("n_ue_rf", "n_bs_rf"):
         data = instance_to_dict(small_instance())
         data[key] = 0

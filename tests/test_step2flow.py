@@ -34,7 +34,6 @@ def single_link_residual(cap=2e9):
         c=np.array([[cap]]),
         ue_chain_ids=np.array([0]),
         bs_chain_ids=np.array([0]),
-        ue_ids=np.array([0]),
         ue_of_chain=np.array([0]),
     )
 
@@ -53,7 +52,7 @@ def test_make_residual_strips_used_resources():
     res = step2flow.make_residual(inst, sol)
     np.testing.assert_array_equal(res.bs_chain_ids, [0, 2])
     np.testing.assert_array_equal(res.ue_chain_ids, [2, 3])  # UE 1's chains
-    np.testing.assert_array_equal(res.ue_ids, [1])
+    np.testing.assert_array_equal(np.unique(res.ue_of_chain), [1])
     np.testing.assert_array_equal(res.ue_of_chain, [1, 1])
     np.testing.assert_array_equal(res.c, c[np.ix_([2, 3], [0, 2])])
 
@@ -129,7 +128,6 @@ def test_two_parallel_chains_prefer_higher_capacity():
         c=np.array([[1e9], [3e9]]),
         ue_chain_ids=np.array([0, 1]),
         bs_chain_ids=np.array([0]),
-        ue_ids=np.array([0, 1]),
         ue_of_chain=np.array([0, 1]),
     )
     sol = step2flow.solve_step2(res)
@@ -400,7 +398,6 @@ def test_step2_matches_assignment_objective_with_tied_and_zero_capacities(c):
         c=c,
         ue_chain_ids=np.arange(rows),
         bs_chain_ids=np.arange(cols),
-        ue_ids=np.arange(rows),
         ue_of_chain=np.arange(rows),
     )
     x = step2flow.solve_step2(res).x
