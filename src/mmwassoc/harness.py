@@ -7,10 +7,9 @@ paired.  Records are emitted in (run_id, r_max, scheme) order; with
 timing disabled (the default) the whole output is a pure function of
 the experiment spec, byte for byte.
 
-`RunRecord` is the one home of the record schema: the record columns,
-the averaged aggregate columns and the CSV parser all follow its
-fields.  Records and aggregates go through the same writer, one per
-output format.
+`RunRecord` is the one home of the record schema: the record columns
+and the averaged aggregate columns both follow its fields.  Records and
+aggregates go through the same writer, one per output format.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .instance import (
     metrics,
     solution_from_x,
 )
-from .model import FIELD_PARSERS, ScenarioConfig, build_capacity_matrix, sample_scenario
+from .model import ScenarioConfig, build_capacity_matrix, sample_scenario
 
 # The step-1 solver of each two-step scheme.
 TWO_STEP_SOLVERS = {"two-step-exact": "exact", "two-step-proposed": "lp-round"}
@@ -248,16 +247,3 @@ def emit_results(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv"
         path.write_text(text + "\n")
         paths.append(path)
     return tuple(paths)
-
-
-def read_records_csv(path: str | Path) -> list[RunRecord]:
-    """Parse a records CSV back into typed RunRecord objects."""
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    if tuple(header) != RECORD_FIELDS:
-        raise ValueError(f"unexpected header {header}")
-    parsers = [FIELD_PARSERS[f.type] for f in fields(RunRecord)]
-    return [
-        RunRecord(*(parse(v) for parse, v in zip(parsers, line.split(","))))
-        for line in lines[1:]
-    ]

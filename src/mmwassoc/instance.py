@@ -222,15 +222,17 @@ def instance_to_dict(inst: AssociationInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> AssociationInstance:
-    """Inverse of instance_to_dict; the ownership maps must follow the rule."""
-    if not all(type(data[k]) is int for k in ("n_ue_rf", "n_bs_rf")):
-        raise ValueError("n_ue_rf and n_bs_rf must be integers")
+    """Inverse of instance_to_dict; the dimensions and ownership maps
+    must equal those the capacity matrix and chain counts give."""
+    if not all(type(data[k]) is int for k in ("n_ue", "n_bs", "n_ue_rf", "n_bs_rf")):
+        raise ValueError("n_ue, n_bs, n_ue_rf and n_bs_rf must be integers")
     inst = make_instance(
         data["capacity_bps"], data["rate_req_bps"], data["n_ue_rf"], data["n_bs_rf"]
     )
-    for key in ("ue_of_chain", "bs_of_chain"):
-        if data[key] != getattr(inst, key).tolist():
-            raise ValueError(f"{key} must map chain k to device k // its chains per device")
+    derived = instance_to_dict(inst)
+    for key in ("n_ue", "n_bs", "ue_of_chain", "bs_of_chain"):
+        if data[key] != derived[key]:
+            raise ValueError(f"{key} is not what the capacity matrix and chain counts give")
     return inst
 
 

@@ -26,6 +26,7 @@ chains, cols = BS RF chains; `AssociationInstance` validates it.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -73,7 +74,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_bs", "n_ue", "n_bs_rf", "n_ue_rf", "n_bs_ant", "n_ue_ant"):
-            if int(getattr(self, name)) < 1:
+            if operator.index(getattr(self, name)) < 1:  # a float count raises TypeError
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("bandwidth_hz", "bs_spacing", "carrier_ghz"):
             if getattr(self, name) <= 0:

@@ -1,9 +1,9 @@
-"""Leftover-resource allocation (step 2) as a min-cost network flow.
+"""Leftover-resource allocation (step 2) as a max-sum-rate assignment.
 
 BS RF chains not consumed by the requirement-satisfaction step are
 handed to the still-unassociated UEs so the network sum rate is
-maximized.  This is a rectangular assignment between free BS chains and
-free UE chains, solved on the unit-capacity network
+maximized.  The paper states this as a min-cost flow on the
+unit-capacity network
 
     source -> free BS chain -> free UE chain -> sink
 
@@ -11,26 +11,24 @@ plus a zero-cost overflow edge source -> sink.  Link edges carry cost
 -c_ij, so a min-cost flow is exactly a max-sum-rate assignment; the
 overflow absorbs the supply of BS chains that no UE chain can use,
 keeping the full supply routable.  All capacities and supplies are
-integers, hence an integral optimum always exists and the successive
-shortest-path solver returns one: it first moves the supply onto the
-free BS chains, then routes each chain's unit by a shortest-path search
-that starts at that chain.  The edges are one record array of dtype
-EDGE_DTYPE: int64 tail, head and capacity, float64 cost.
+integers, hence an integral optimum always exists.  Every edge but the
+overflow has capacity one, so an integral flow is a bipartite matching
+between free BS chains and free UE chains, and solve_min_cost_flow
+finds it as a rectangular assignment on the capacity block.  The edges
+are one record array of dtype EDGE_DTYPE: int64 tail, head and
+capacity, float64 cost.
 
 The network has no per-BS budget or per-UE cap layer because neither
 can bind: a BS's leftover budget equals its number of free chains, and
 every unassociated UE keeps all of its chains, so at most one link per
 chain already respects both.
 
-Ties between equal-value optima are not pinned: which of them comes
-back depends on the solver's path order.  Capacities of sampled
-scenarios are continuous, so there the optimum is unique.
+Capacities of sampled scenarios are continuous, so there the optimum is
+unique; solve_min_cost_flow states how it breaks ties elsewhere.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -58,13 +56,6 @@ class ResidualInstance:
         if self.c.shape != (len(self.ue_chain_ids), len(self.bs_chain_ids)):
             raise ValueError("capacity block does not match chain id lists")
 
-
-# A Bellman-Ford relaxation must lower a label by more than this.  Costs
-# whose decimal values cancel around a cycle, such as -0.1, -1.1 and 1.2,
-# can sum in float64 to a few 1e-16 below zero; without the margin such a
-# cycle keeps lowering labels for all n passes and is reported as a
-# negative-cost cycle.
-_RELAX_MARGIN = 1e-12
 
 EDGE_DTYPE = np.dtype([("tail", "i8"), ("head", "i8"), ("capacity", "i8"), ("cost", "f8")])
 
@@ -98,6 +89,24 @@ def full_residual(inst: AssociationInstance) -> ResidualInstance:
     return make_residual(inst, empty_solution(inst))
 
 
+def _network(c: np.ndarray) -> FlowNetwork:
+    """The step-2 network of capacity block c (see build_flow_network)."""
+    n_rows, n_cols = c.shape
+    bs = 1 + np.arange(n_cols)
+    ue = 1 + n_cols + np.arange(n_rows)
+    sink = 1 + n_cols + n_rows
+    edges = np.rec.fromarrays(
+        [
+            np.concatenate([np.zeros(n_cols, int), np.repeat(bs, n_rows), ue, [0]]),
+            np.concatenate([bs, np.tile(ue, n_cols), np.full(n_rows + 1, sink)]),
+            np.concatenate([np.ones(n_cols * (1 + n_rows) + n_rows, int), [n_cols]]),
+            np.concatenate([np.zeros(n_cols), -c.T.ravel(), np.zeros(n_rows + 1)]),
+        ],
+        dtype=EDGE_DTYPE,
+    )
+    return FlowNetwork(n_vertices=sink + 1, edges=edges, supply=n_cols, source=0, sink=sink)
+
+
 def build_flow_network(res: ResidualInstance) -> FlowNetwork:
     """Assignment graph: s -> BS chain -> UE chain -> t (+ overflow s -> t).
 
@@ -107,189 +116,100 @@ def build_flow_network(res: ResidualInstance) -> FlowNetwork:
     the n_rows sink edges, then the overflow.  Every edge but the
     overflow has capacity one; the overflow takes the whole supply.
     """
-    n_rows, n_cols = res.c.shape
-    bs = 1 + np.arange(n_cols)
-    ue = 1 + n_cols + np.arange(n_rows)
-    sink = 1 + n_cols + n_rows
-    edges = np.rec.fromarrays(
-        [
-            np.concatenate([np.zeros(n_cols, int), np.repeat(bs, n_rows), ue, [0]]),
-            np.concatenate([bs, np.tile(ue, n_cols), np.full(n_rows + 1, sink)]),
-            np.concatenate([np.ones(n_cols * (1 + n_rows) + n_rows, int), [n_cols]]),
-            np.concatenate([np.zeros(n_cols), -res.c.T.ravel(), np.zeros(n_rows + 1)]),
-        ],
-        dtype=EDGE_DTYPE,
-    )
-    return FlowNetwork(
-        n_vertices=sink + 1,
-        edges=edges,
-        supply=n_cols,
-        source=0,
-        sink=sink,
-    )
+    return _network(res.c)
 
 
 def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
-    """Integral min-cost flow of the full supply, one unit count per edge.
+    """Integral min-cost flow of a step-2 network, one unit count per edge.
 
-    Successive shortest paths between excess and deficit vertices on
-    reduced costs (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
-    section 9.7): one Bellman-Ford pass seeds the node potentials
-    (absorbing the negative link costs), then each Dijkstra search finds
-    a shortest path from one vertex with excess to a vertex with a
-    deficit.  Integer capacities make every augmentation integral.
+    Only networks that build_flow_network makes are accepted: the
+    capacity block c is read back from the link costs, the network of
+    that c is rebuilt, and any difference raises ValueError.  A flow on
+    such a network is a matching of BS chains to UE chains (each link
+    edge carries 0 or 1) plus overflow, so the min-cost flow is a
+    maximum-weight matching on c.  Pairs with c <= 0 get weight 0 and
+    never carry flow: a link that gains nothing costs as much as the
+    overflow.
 
-    The source first pushes its supply, in arc order, along its out-arcs
-    whose clamped reduced cost is 0; each head then holds the units it
-    got as its own excess, and what no such arc takes stays at the
-    source.  Every reduced cost stays non-negative, since the reverse of
-    a zero-cost arc costs 0 too.  The searches then start from the
-    lowest-index vertex with excess (no vertex gains excess, so the
-    index only grows) and stop at the first vertex with a deficit they
-    settle, which is the sink.  In the step-2 network each free BS chain
-    gets its unit this way, and a search from one chain settles only the
-    UE chains within its reach before the sink.  A search from the
-    source would first settle every free chain at its equal label and
-    scan all of their links.  Supply is unroutable when a search runs
-    out of vertices without settling a deficit.
+    The matching is a rectangular assignment solved by shortest
+    augmenting paths (Jonker & Volgenant, *Computing* 38, 1987; Crouse,
+    "On implementing 2D rectangular assignment algorithms", *IEEE TAES*
+    52(4), 2016), on the weights w = max(c, 0) with rows the smaller
+    side of c.  Each row in turn is added by one dense Dijkstra search
+    over the columns on the reduced costs -w[i][j] - u[i] - v[j]; it
+    scans the list row of each row it reaches, stops at the first free
+    column it settles, then updates the duals u, v and augments along
+    the path.  The reduced costs stay non-negative and are zero on the
+    matched pairs, so after each row the matching has the largest
+    weight of all that match the rows added so far.  After the last row
+    it matches every row, and since w >= 0 and there are no more rows
+    than columns, any matching can be extended to match every row
+    without losing weight: the result is the exact optimum.
 
-    After each search every potential grows by min(dist[v], dist[end]),
-    end being the deficit vertex settled and a vertex left unlabelled
-    counting as dist[end].  This keeps every residual reduced cost
-    non-negative whatever vertex the search started from: an arc out of
-    a settled vertex was relaxed, so its head's label exceeds its tail's
-    by at most the arc's reduced cost, and every vertex not settled
-    grows by dist[end], at least as much as any vertex.  Arcs of the
-    path have reduced cost 0 after the update, so their reverses do too.
+    Ties: among the unsettled columns of least label, the search
+    settles a free column first, then the one of lowest index.
 
-    Dijkstra scans only live arcs: adj[u] holds u's arcs of positive
-    capacity in increasing arc order, the order in which a scan of all
-    of u's arcs would meet them, so ties fall the same way.  An arc
-    leaves its list when a push saturates it and rejoins it (by
-    bisect.insort) when its reverse carries flow again.  Arcs into
-    vertices Bellman-Ford cannot reach are never listed: pushes add
-    reverse arcs only between vertices the source reaches, so no arc
-    into those vertices ever appears.  A head already settled is
-    skipped, since with non-negative reduced costs relaxing it cannot
-    lower its label.
-
-    Both loops read one arc at a time, so the arc data live in Python
-    lists (arc 2k is edge k, arc 2k + 1 its reverse): indexing a list
-    returns a stored object, while indexing a numpy array boxes a new
-    scalar on every read, which costs several times the loop body.  The
-    arithmetic is the same float64 either way.
+    The loops run over Python lists: they read one entry at a time, and
+    indexing a numpy array boxes a new scalar on every read.  The network
+    is still built and checked although only c is needed, because the
+    benchmark's sweep tracing (bench/trace_sweep.py) reports the network
+    build and its edge count as their own span and counter.
     """
-    n = net.n_vertices
-    edges = net.edges
-    if edges.dtype != EDGE_DTYPE:  # its int64 capacity makes flows integral
-        raise ValueError(f"edges must have dtype EDGE_DTYPE, got {edges.dtype}")
-    if np.any((edges.tail < 0) | (edges.tail >= n) | (edges.head < 0) | (edges.head >= n)):
-        raise ValueError("an edge references an unknown vertex")
-    if np.any(edges.capacity < 0):
-        raise ValueError("edge capacities must be non-negative integers")
-    if net.supply < 0:
-        raise ValueError("supply must be >= 0")
-    if not (0 <= net.source < n and 0 <= net.sink < n):
-        raise ValueError("source and sink must be vertices of the network")
+    n_cols = int(net.supply)
+    n_rows = int(net.n_vertices) - 2 - n_cols
+    edges, same = net.edges, False
+    sized = min(n_rows, n_cols) >= 0 and len(edges) == (n_rows + 1) * (n_cols + 1)
+    if edges.dtype == EDGE_DTYPE and sized:
+        c = -edges.cost[n_cols : n_cols * (1 + n_rows)].reshape(n_cols, n_rows).T
+        want = _network(c)
+        scalars = ("n_vertices", "supply", "source", "sink")
+        same = all(getattr(net, f) == getattr(want, f) for f in scalars)
+        same = same and np.array_equal(edges, want.edges)
+    if not same:
+        raise ValueError("not a step-2 network made by build_flow_network")
 
-    to = np.column_stack([edges.head, edges.tail]).ravel().tolist()
-    tail = np.column_stack([edges.tail, edges.head]).ravel().tolist()
-    cap = np.column_stack([edges.capacity, np.zeros_like(edges.capacity)]).ravel().tolist()
-    cost = np.column_stack([edges.cost, -edges.cost]).ravel().tolist()
+    flip = n_rows > n_cols
+    w = np.maximum(c.T if flip else c, 0.0).tolist()
+    rows, cols = (n_cols, n_rows) if flip else (n_rows, n_cols)
+    u, v = [0.0] * rows, [0.0] * cols
+    row_of, col_of = [-1] * cols, [-1] * rows
+    for start in range(rows):
+        dist, via = [math.inf] * cols, [-1] * cols
+        todo, done = list(range(cols)), []
+        i, d = start, 0.0
+        while True:
+            wi, base = w[i], d - u[i]
+            pick, best = 0, math.inf
+            for k, j in enumerate(todo):
+                r = base - wi[j] - v[j]
+                if r < dist[j]:
+                    dist[j], via[j] = r, i
+                else:
+                    r = dist[j]
+                if r < best or (r == best and row_of[j] < 0 <= row_of[todo[pick]]):
+                    pick, best = k, r
+            j, d = todo.pop(pick), best
+            if row_of[j] < 0:
+                break
+            done.append(j)
+            i = row_of[j]
+        u[start] += d
+        for k in done:
+            u[row_of[k]] += d - dist[k]
+            v[k] -= d - dist[k]
+        while True:  # augment: shift each row on the path to its new column
+            i = via[j]
+            row_of[j] = i
+            j, col_of[i] = col_of[i], j
+            if i == start:
+                break
 
-    # Bellman-Ford potentials from the source over positive-capacity arcs;
-    # before any augmentation those are the forward arcs of capacity > 0.
-    live = [(tail[a], to[a], cost[a]) for a in range(0, len(to), 2) if cap[a] > 0]
-    pot = [math.inf] * n
-    pot[net.source] = 0.0
-    changed = True
-    for _ in range(n):
-        changed = False
-        for u, v, w in live:
-            if pot[u] + w < pot[v] - _RELAX_MARGIN:
-                pot[v] = pot[u] + w
-                changed = True
-        if not changed:
-            break
-    if changed:
-        raise ValueError("graph contains a negative-cost cycle")
-
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, u in enumerate(tail):
-        if cap[a] > 0 and pot[to[a]] < math.inf:
-            adj[u].append(a)
-    reached = [v for v in range(n) if pot[v] < math.inf]
-    flow = [0] * len(edges)
-
-    def push(e: int, units: int) -> None:
-        excess[tail[e]] -= units
-        excess[to[e]] += units
-        cap[e] -= units
-        if cap[e] == 0:
-            arcs = adj[tail[e]]
-            del arcs[bisect.bisect_left(arcs, e)]
-        if cap[e ^ 1] == 0:
-            bisect.insort(adj[to[e]], e ^ 1)
-        cap[e ^ 1] += units
-        flow[e // 2] += units if e % 2 == 0 else -units
-
-    source = net.source
-    excess = [0] * n
-    excess[source] += int(net.supply)
-    excess[net.sink] -= int(net.supply)
-    for e in list(adj[source]):  # a copy: push edits the list
-        if excess[source] == 0:
-            break
-        if cost[e] + pot[source] - pot[to[e]] <= 0.0:  # clamped reduced cost 0
-            push(e, min(excess[source], cap[e]))
-
-    for start in range(n):
-        while excess[start] > 0:
-            dist = [math.inf] * n
-            parent = [-1] * n
-            done = [False] * n
-            dist[start] = 0.0
-            heap = [(0.0, start)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if done[u]:
-                    continue
-                done[u] = True
-                if excess[u] < 0:
-                    break
-                pot_u = pot[u]
-                for e in adj[u]:
-                    v = to[e]
-                    if done[v]:
-                        continue
-                    reduced = cost[e] + pot_u - pot[v]
-                    if reduced < 0.0:  # max(reduced, 0.0): round-off below zero
-                        reduced = 0.0
-                    nd = d + reduced
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        parent[v] = e
-                        heapq.heappush(heap, (nd, v))
-            else:
-                raise ValueError("supply cannot be routed to the sink")
-
-            end = u
-            units = min(excess[start], -excess[end])
-            v = end
-            while v != start:
-                e = parent[v]
-                units = min(units, cap[e])
-                v = tail[e]
-            v = end
-            while v != start:
-                e = parent[v]
-                v = tail[e]
-                push(e, units)
-            d_end = dist[end]
-            for v in reached:
-                pot[v] += dist[v] if dist[v] < d_end else d_end
-
-    return np.array(flow, dtype=np.int64)
+    x = np.zeros((rows, cols), dtype=np.int64)
+    for i, j in enumerate(col_of):
+        x[i, j] = w[i][j] > 0.0
+    if flip:
+        x = x.T
+    return np.concatenate([x.sum(axis=0), x.T.ravel(), x.sum(axis=1), [n_cols - x.sum()]])
 
 
 def solve_step2(res: ResidualInstance) -> AssociationSolution:

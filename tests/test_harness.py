@@ -1,6 +1,7 @@
+import csv
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import mmwassoc as m
 from mmwassoc import cli, harness
 from mmwassoc.instance import STRUCTURAL_CONSTRAINTS, instance_to_dict
+from mmwassoc.model import FIELD_PARSERS
 
 from conftest import random_instance
 
@@ -165,10 +167,18 @@ def test_emit_rejects_empty_and_bad_format(tmp_path):
         harness.emit_results(records, tmp_path, fmt="xml")
 
 
+def read_records(path):
+    """A records CSV as RunRecords, each field parsed by its declared type."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    types = {f.name: FIELD_PARSERS[f.type] for f in fields(harness.RunRecord)}
+    return [harness.RunRecord(**{k: parse(row[k]) for k, parse in types.items()}) for row in rows]
+
+
 def test_emit_csv_round_trip(tmp_path):
     records = harness.run_experiment(tiny_spec())
     rec_path, agg_path = harness.emit_results(records, tmp_path)
-    assert harness.read_records_csv(rec_path) == records
+    assert read_records(rec_path) == records
     header = rec_path.read_text().splitlines()[0]
     assert header == ",".join(harness.RECORD_FIELDS)
     agg_lines = agg_path.read_text().splitlines()
@@ -325,7 +335,7 @@ def test_cli_simulate(tmp_path, capsys):
         ]
     )
     assert code == 0
-    records = harness.read_records_csv(tmp_path / "out" / "records.csv")
+    records = read_records(tmp_path / "out" / "records.csv")
     assert {r.scheme for r in records} == {"two-step-proposed", "max-snr"}
 
 
@@ -479,6 +489,8 @@ def _instance_text(edit):
         (_instance_text(lambda d: d.update(ue_of_chain=[0, 0.9, 1, 1, 2, 2])), "ue_of_chain"),
         (_instance_text(lambda d: d.update(ue_of_chain=[0, 1, 0, 1, 2, 2])), "ue_of_chain"),
         (_instance_text(lambda d: d.update(bs_of_chain=[0, 1, 0, 1])), "bs_of_chain"),
+        (_instance_text(lambda d: d.update(n_ue=99, n_bs=7)), "n_ue is not"),
+        (_instance_text(lambda d: d.update(n_bs=7)), "n_bs is not"),
     ],
     ids=[
         "missing-file",
@@ -490,6 +502,8 @@ def _instance_text(edit):
         "fractional-map",
         "permuted-map",
         "permuted-bs-map",
+        "wrong-dimensions",
+        "wrong-n-bs",
     ],
 )
 def test_cli_solve_bad_instance_exits_2_with_one_error_line(tmp_path, capsys, text, message):

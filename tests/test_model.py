@@ -186,6 +186,10 @@ def test_config_validation():
         m.ScenarioConfig(sigma_aoa_deg=-1.0)
     with pytest.raises(ValueError):
         m.ScenarioConfig(power_split_mode="nonsense")
+    # A float count would pass the range check and fail only in sampling.
+    for name in ("n_bs", "n_ue", "n_bs_rf", "n_ue_rf", "n_bs_ant", "n_ue_ant"):
+        with pytest.raises(TypeError):
+            m.ScenarioConfig(**{name: 2.0})
 
 
 def test_config_rejects_nonfinite_or_nonpositive_rates():

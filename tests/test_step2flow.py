@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from mmwassoc import harness, step2flow
 from mmwassoc.instance import STRUCTURAL_CONSTRAINTS, empty_solution, solution_from_x
 from mmwassoc.step2flow import EDGE_DTYPE, FlowNetwork, relaxed_step2_lp
 
+import flow_oracle
 from conftest import (
     canonical_value,
     pairs_of,
@@ -27,6 +29,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def edge_array(*edges):
     """Edge records (tail, head, capacity, cost) of a hand-built network."""
     return np.rec.array(list(edges), dtype=EDGE_DTYPE)
+
+
+def residual_of(c):
+    """Residual with capacity block c, one UE per UE chain."""
+    rows, cols = c.shape
+    return step2flow.ResidualInstance(c, np.arange(rows), np.arange(cols), np.arange(rows))
 
 
 def single_link_residual(cap=2e9):
@@ -112,7 +120,7 @@ def test_vertex_and_edge_counts_after_dense_step1():
 
 
 # ---------------------------------------------------------------------------
-# min-cost flow
+# min-cost flow of the step-2 network
 # ---------------------------------------------------------------------------
 
 
@@ -151,9 +159,33 @@ def test_flow_conservation_and_budgets():
     assert np.all(inner == 0)
 
 
+def test_solver_rejects_networks_build_flow_network_does_not_make():
+    # Each of these has an integral min-cost flow, which the general
+    # solver finds; the assignment solves only the step-2 layout.
+    net = step2flow.build_flow_network(single_link_residual())
+    edges = net.edges.tolist()
+    others = [
+        replace(net, edges=edge_array(*edges[:-1], (0, 3, 1, 1.0))),  # overflow costs 1
+        replace(net, edges=edge_array(edges[0], (1, 2, 2, -2e9), *edges[2:])),  # link capacity 2
+        replace(net, edges=edge_array(*edges[::-1])),  # edges out of order
+        replace(net, edges=edge_array(*edges, (1, 2, 1, -1e9))),  # a parallel link
+        replace(net, sink=2),
+        FlowNetwork(3, edge_array((0, 1, 1, 0.0), (1, 2, 1, 0.0)), 1, 0, 2),  # a path, no overflow
+    ]
+    for other in others:
+        flow_oracle.solve_min_cost_flow(other)
+        with pytest.raises(ValueError, match="build_flow_network"):
+            step2flow.solve_min_cost_flow(other)
+
+
+# ---------------------------------------------------------------------------
+# the general min-cost flow solver of tests/flow_oracle.py
+# ---------------------------------------------------------------------------
+
+
 def test_malformed_graph_rejected():
     with pytest.raises(ValueError):
-        step2flow.solve_min_cost_flow(
+        flow_oracle.solve_min_cost_flow(
             FlowNetwork(
                 n_vertices=2,
                 edges=edge_array((0, 5, 1, 0.0)),
@@ -163,7 +195,7 @@ def test_malformed_graph_rejected():
             )
         )
     with pytest.raises(ValueError):
-        step2flow.solve_min_cost_flow(
+        flow_oracle.solve_min_cost_flow(
             FlowNetwork(
                 n_vertices=2,
                 edges=edge_array((0, 1, -1, 0.0)),
@@ -175,7 +207,7 @@ def test_malformed_graph_rejected():
     # A fractional capacity has no place in EDGE_DTYPE's int64 column.
     float_caps = np.dtype([(name, float) for name in EDGE_DTYPE.names])
     with pytest.raises(ValueError, match="EDGE_DTYPE"):
-        step2flow.solve_min_cost_flow(
+        flow_oracle.solve_min_cost_flow(
             FlowNetwork(
                 n_vertices=2,
                 edges=np.rec.array([(0, 1, 0.5, 0.0)], dtype=float_caps),
@@ -188,7 +220,7 @@ def test_malformed_graph_rejected():
     # the solver index from the end of its lists and run on for minutes.
     for supply, source, sink in ((1, 0, 5), (0, -1, 1)):
         with pytest.raises(ValueError, match="source and sink"):
-            step2flow.solve_min_cost_flow(FlowNetwork(2, edge_array((0, 1, 1, 0.0)), supply, source, sink))
+            flow_oracle.solve_min_cost_flow(FlowNetwork(2, edge_array((0, 1, 1, 0.0)), supply, source, sink))
 
 
 def test_negative_cycle_rejected():
@@ -200,7 +232,7 @@ def test_negative_cycle_rejected():
         sink=2,
     )
     with pytest.raises(ValueError, match="cycle"):
-        step2flow.solve_min_cost_flow(net)
+        flow_oracle.solve_min_cost_flow(net)
 
 
 def test_round_off_zero_cycle_is_not_a_negative_cycle():
@@ -213,7 +245,7 @@ def test_round_off_zero_cycle_is_not_a_negative_cycle():
         source=0,
         sink=3,
     )
-    assert step2flow.solve_min_cost_flow(net).tolist() == [1, 1, 0, 1]
+    assert flow_oracle.solve_min_cost_flow(net).tolist() == [1, 1, 0, 1]
 
 
 def test_unroutable_supply_rejected():
@@ -226,7 +258,7 @@ def test_unroutable_supply_rejected():
         sink=2,
     )
     with pytest.raises(ValueError, match="routed"):
-        step2flow.solve_min_cost_flow(net)
+        flow_oracle.solve_min_cost_flow(net)
 
 
 @st.composite
@@ -280,9 +312,9 @@ def assert_matches_node_arc_lp(net):
     assert want.status in (0, 2)  # optimal or infeasible; never unbounded
     if want.status == 2:
         with pytest.raises(ValueError, match="routed"):
-            step2flow.solve_min_cost_flow(net)
+            flow_oracle.solve_min_cost_flow(net)
         return
-    flow = step2flow.solve_min_cost_flow(net)
+    flow = flow_oracle.solve_min_cost_flow(net)
     e = net.edges
     assert flow.dtype == np.int64
     assert np.all((flow >= 0) & (flow <= e.capacity))
@@ -371,7 +403,7 @@ EXCESS_CASES = {
 @pytest.mark.parametrize("n, records, supply, source, sink, want", EXCESS_CASES.values(), ids=EXCESS_CASES)
 def test_min_cost_flow_routes_each_start_of_the_source_push(n, records, supply, source, sink, want):
     net = FlowNetwork(n, edge_array(*records), supply, source, sink)
-    assert step2flow.solve_min_cost_flow(net).tolist() == want
+    assert flow_oracle.solve_min_cost_flow(net).tolist() == want
     assert_matches_node_arc_lp(net)
 
 
@@ -380,8 +412,13 @@ def test_unroutable_supply_detected_from_a_pushed_vertex():
     # sink 2; the search from vertex 1 finds no deficit and gives up.
     net = FlowNetwork(3, edge_array((0, 1, 1, 0.0), (0, 2, 1, 5.0)), 2, 0, 2)
     with pytest.raises(ValueError, match="routed"):
-        step2flow.solve_min_cost_flow(net)
+        flow_oracle.solve_min_cost_flow(net)
     assert node_arc_lp(net).status == 2
+
+
+# ---------------------------------------------------------------------------
+# the assignment against scipy and the flow oracle
+# ---------------------------------------------------------------------------
 
 
 @settings(max_examples=200)
@@ -405,6 +442,50 @@ def test_step2_matches_assignment_objective_with_tied_and_zero_capacities(c):
     assert np.all(x.sum(axis=0) <= 1) and np.all(x.sum(axis=1) <= 1)
     # Multiples of 1e9 up to 18e9 add exactly in any order.
     assert (x * c).sum() == c[linear_sum_assignment(c, maximize=True)].sum()
+
+
+def test_assignment_breaks_ties_by_a_free_column_then_the_lowest_index():
+    assert step2flow.solve_step2(residual_of(np.array([[1.0, 1.0]]))).x.tolist() == [[1, 0]]
+    # Row 0 takes column 0 at weight 0.  Row 1 then reaches columns 0 and
+    # 2 at the same label and settles the free one, 2.
+    c = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
+    assert step2flow.solve_step2(residual_of(c)).x.tolist() == [[0, 0, 0], [0, 0, 1]]
+
+
+@st.composite
+def capacity_blocks(draw):
+    """A capacity block of 1-6 x 1-6 entries and whether they are distinct.
+
+    Tied blocks draw each entry from 0, 1e9, 2e9 and 3e9, whose sums are
+    exact in any order.  Distinct blocks draw distinct powers of two up
+    to 2**40: no two matchings have the same sum, so the optimum is
+    unique, and every sum is exact.
+    """
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = rows * cols
+    distinct = draw(st.booleans())
+    if distinct:
+        exponents = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+        values = [2.0**p for p in exponents]
+    else:
+        values = draw(st.lists(st.sampled_from([0.0, 1e9, 2e9, 3e9]), min_size=n, max_size=n))
+    return np.array(values).reshape(rows, cols), distinct
+
+
+@settings(max_examples=300)
+@given(capacity_blocks())
+def test_assignment_flow_matches_flow_oracle_and_scipy(block):
+    c, distinct = block
+    for oriented in (c, c.T):  # more UE chains than BS chains, and fewer
+        net = step2flow.build_flow_network(residual_of(oriented))
+        flow = step2flow.solve_min_cost_flow(net)
+        want = flow_oracle.solve_min_cost_flow(net)
+        best = oriented[linear_sum_assignment(oriented, maximize=True)].sum()
+        assert flow @ net.edges.cost == want @ net.edges.cost == -best
+        links = slice(oriented.shape[1], oriented.shape[1] * (1 + oriented.shape[0]))
+        assert not flow[links][net.edges.cost[links] >= 0].any()  # no link with c <= 0
+        if distinct:
+            np.testing.assert_array_equal(flow, want)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +544,9 @@ def test_step2_matches_scipy_assignment_at_dense_scale():
 
 
 # (run, r_max, sha256 of the flow on the full residual, on the
-# post-rounding residual) of full.cfg cells, recorded with the numpy-array
-# loops; the list-native loops must reproduce them.  Like any digest of
+# post-rounding residual) of full.cfg cells, recorded with the general
+# successive shortest-path solver (now flow_oracle); the assignment must
+# reproduce them.  Like any digest of
 # sampled cells they hold for this platform's numpy and libm.
 FLOW_PINS = [
     (
