@@ -10,23 +10,50 @@ termination certain on the highly degenerate assignment polytopes this
 package produces.  The returned point is a basic feasible solution,
 i.e. a vertex of the feasible polytope.
 
-The tableau is stored dense, but a pivot works only on the entering
-column's support, the rows where that column is nonzero (a handful on a
-cell LP, dozens at 9 BSs x 100 UEs).  The ratio test and the update of
-the basic values loop over those rows alone.  Any other row has a zero
-entry, so its ratio is infinite and its value would move by t * (+-0.0),
-which leaves a nonzero value as it is; a -0.0 value can come only from
-b and sit only on a slack, and neither max(0.0, v) nor x shows its
-sign.  The pivot row is divided in place, and each support row and the
-reduced-cost row subtract its multiple as one in-place
-``row -= row[j] * pivot_row`` on a contiguous row.  Every entry, reduced
-cost and basic value therefore gets the same float operations in the
-same order as a full rank-one update, and the iterates are the same bit
-for bit.  Where the pivot row is zero an entry becomes x - (+-0.0) == x:
-at most the sign of a zero changes, and no comparison reads it.  A basic
-column's reduced cost is exactly 0.0 (the divided pivot entry is exactly
-1.0, so c - c * 1.0 == 0.0, and later pivots subtract exact zeros from
-it), so pricing needs no basis mask.
+Row updates are deferred to the rows that pivot, in the manner of the
+product form of the inverse (Dantzig & Orchard-Hays, 1954).  Each pivot
+is recorded as two vectors: its divided pivot row, and its multiplier
+column, the entering column with the pivot row's entry zeroed.  Tableau
+row i holds row i as it stood after it last pivoted (at first, the
+input row), and the records made since then with a nonzero multiplier
+at i are pending on it.  Only two kinds of tableau entries are read:
+  * the entering column, rebuilt at each pivot from the rows' stored
+    entries by replaying, in pivot order, the records whose pivot row is
+    nonzero in that column; the ratio test and the update of the basic
+    values then loop over its support, the rows where it is nonzero;
+  * a whole row when it becomes the pivot row: it first applies its
+    pending records in pivot order, each as an in-place
+    ``row -= multiplier * record_row`` through one scratch row, and is
+    then divided by the pivot and recorded.
+The reduced-cost row is updated eagerly at every pivot.  On a full.cfg
+cell only about one row update in six lands on a row that pivots again,
+so most updates are never made.
+
+Why the iterates are those of an eager simplex bit for bit.  An eager
+pivot subtracts multiplier * pivot_row from every row of the entering
+column's support (tests/lp_oracle.py keeps that simplex).  Every entry
+read here gets the same subtractions with the same operands in the same
+order.  The only operations skipped subtract a product with a zero
+factor: a record whose pivot row is zero in the entering column, or
+whose multiplier is zero at the row (the row was off that pivot's
+support, or has applied the record already).  x - (+-0.0) == x for any
+nonzero x, so skipping one changes at most the sign of a zero entry,
+and no comparison reads that sign: supports, ratios and pivots use
+nonzero entries only, a product with a zero is a zero of either sign,
+and argmax and the tolerance tests compare -0.0 equal to 0.0.  A basic
+value off the support would move by t * (+-0.0), which leaves a nonzero
+value as it is; a -0.0 value can come only from b and sit only on a
+slack, and neither max(0.0, v) nor x shows its sign.  A basic column's
+reduced cost is exactly 0.0 (the divided pivot entry is exactly 1.0, so
+c - c * 1.0 == 0.0, and later pivots subtract exact zeros from it), so
+pricing needs no basis mask.
+
+Storage.  Record rows are written once and never moved.  The first m
+share one allocation with the tableau (rows m..2m-1 of it), and records
+past them go to blocks of doubling size that are never copied; record
+rows stay uninitialised until written, so unused ones cost no memory.
+A solve with at most m pivots thus makes one large allocation, as the eager simplex did, and touches
+only the record rows it writes.
 """
 
 from __future__ import annotations
@@ -87,21 +114,34 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         return LpSolution(x=x, objective=float(c @ x), iterations=0)
 
     total = n + m
-    tableau = np.zeros((m, total))
+    # Rows 0..m-1 hold the tableau; rows m..2m-1 the first m pivot records,
+    # in the same allocation (see the module docstring).
+    store = np.empty((2 * m, total))
+    tableau = store[:m]
     tableau[:, :n] = a
+    tableau[:, n:] = 0.0
     np.fill_diagonal(tableau[:, n:], 1.0)
+    block, block_start = store[m:], 0  # where the next records go
+    grown = []  # (start, block) of the records past the first m
+    capacity = m
+    pivot_rows = []  # record p: the divided pivot row
+    multipliers = []  # record p: the entering column, zero where applied
+    pending = [[] for _ in range(m)]  # records not yet applied to each row
     values = b.tolist()  # current basic-variable values
     obj_row = np.concatenate([c, np.zeros(m)])  # reduced costs
     ub = ub_struct.tolist() + [math.inf] * m
     basis = list(range(n, total))
     ub_basic = [math.inf] * m  # ub[basis]
-    at_upper = np.zeros(total, dtype=bool)
+    sign_of = np.ones(total)  # -1.0 where a nonbasic variable sits at its upper bound
+    gain = np.empty(total)
+    scratch = np.empty(total)
+    col_scratch = np.empty(m)
 
     iterations = 0
     stall = 0
     while True:
         # Improvement per unit step; exactly 0.0 for basic columns.
-        gain = np.where(at_upper, -obj_row, obj_row)
+        np.multiply(obj_row, sign_of, out=gain)
         j = int(gain.argmax())  # Dantzig
         if gain[j] <= _RC_TOL:
             break
@@ -110,9 +150,26 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         iterations += 1
         if stall >= _STALL_LIMIT:
             j = int((gain > _RC_TOL).argmax())  # Bland: smallest index enters
-        sign = -1.0 if at_upper[j] else 1.0
-        support = np.flatnonzero(tableau[:, j])
-        col = (sign * tableau[support, j]).tolist()
+        sign = -1.0 if sign_of[j] < 0 else 1.0
+
+        # Entering column: the stored entries, then, in pivot order, each
+        # record whose pivot row is nonzero at j.
+        records = len(pivot_rows)
+        gathered = store[: m + min(records, m), j].copy()
+        column = gathered[:m]
+        head = gathered[m:]
+        for p in head.nonzero()[0].tolist():
+            np.multiply(multipliers[p], head[p], out=col_scratch)
+            column -= col_scratch
+        for start, blk in grown:
+            part = blk[: records - start, j]
+            for p in part.nonzero()[0].tolist():
+                np.multiply(multipliers[start + p], part[p], out=col_scratch)
+                column -= col_scratch
+        support = column.nonzero()[0]
+        col = column[support].tolist()
+        if sign < 0:
+            col = [-ci for ci in col]
         support = support.tolist()
 
         # Ratio test: basic value i moves as values[i] - t * col[i], down
@@ -136,33 +193,51 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
             values[i] -= t_star * ci
         if t_flip <= r_min:
             # Bound flip: entering variable jumps to its other bound.
-            at_upper[j] = ~at_upper[j]
+            sign_of[j] = -sign
             continue
 
         # Bland: among rows achieving the min ratio, smallest basic index leaves.
         window = t_star + _RATIO_TIE
         r = min((i for i, ratio in zip(support, ratios) if ratio <= window), key=basis.__getitem__)
         leaving = basis[r]
-        values[r] = (ub[j] if at_upper[j] else 0.0) + sign * t_star
+        values[r] = (ub[j] if sign < 0 else 0.0) + sign * t_star
 
-        piv = tableau[r, j]
+        piv = column[r]
         if abs(piv) < _PIV_TOL:
             raise SimplexError("numerically singular pivot")
         leaves_at_upper = sign * piv < 0
+
+        # Row r catches up on its pending records, in pivot order, and
+        # becomes record number `records`.
         pivot_row = tableau[r]
+        for p in pending[r]:
+            mult = multipliers[p]
+            np.multiply(pivot_rows[p], mult[r], out=scratch)
+            pivot_row -= scratch
+            mult[r] = 0.0
+        pending[r].clear()
         pivot_row /= piv
+        if records == capacity:
+            block, block_start = np.empty((capacity, total)), capacity
+            grown.append((block_start, block))
+            capacity *= 2
+        slot = block[records - block_start]
+        slot[:] = pivot_row
+        pivot_rows.append(slot)
+        column[r] = 0.0
+        multipliers.append(column)
         for i in support:
             if i != r:
-                row = tableau[i]
-                row -= row[j] * pivot_row
-        obj_row -= obj_row[j] * pivot_row
+                pending[i].append(records)
+        np.multiply(pivot_row, obj_row[j], out=scratch)
+        obj_row -= scratch
 
         basis[r] = j
         ub_basic[r] = ub[j]
-        at_upper[j] = False
-        at_upper[leaving] = leaves_at_upper
+        sign_of[j] = 1.0
+        sign_of[leaving] = -1.0 if leaves_at_upper else 1.0
 
-    x_full = np.where(at_upper, ub, 0.0)
+    x_full = np.where(sign_of < 0, ub, 0.0)
     x_full[~np.isfinite(x_full)] = 0.0
     x_full[basis] = values
     x_struct = x_full[:n]

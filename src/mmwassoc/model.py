@@ -76,14 +76,19 @@ class ScenarioConfig:
         for name in ("n_bs", "n_ue", "n_bs_rf", "n_ue_rf", "n_bs_ant", "n_ue_ant"):
             if operator.index(getattr(self, name)) < 1:  # a float count raises TypeError
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Each comparison chain below fails for NaN too.
         for name in ("bandwidth_hz", "bs_spacing", "carrier_ghz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0 < self.r_min_bps <= self.r_max_bps < math.inf:  # NaN fails too
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("tx_power_dbm", "noise_psd_dbm_hz"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.r_min_bps <= self.r_max_bps < math.inf:
             raise ValueError("rates must be finite with 0 < r_min_bps <= r_max_bps")
-        if self.sigma_aod_deg < 0 or self.sigma_aoa_deg < 0:
-            raise ValueError("angle-error sigmas must be >= 0")
-        if self.seed < 0:
+        for name in ("sigma_aod_deg", "sigma_aoa_deg"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if operator.index(self.seed) < 0:  # a float seed raises TypeError
             raise ValueError("seed must be a non-negative integer")
         if self.power_split_mode not in POWER_SPLIT_MODES:
             raise ValueError(f"power_split_mode must be one of {POWER_SPLIT_MODES}")

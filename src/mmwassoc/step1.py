@@ -152,6 +152,8 @@ def round_solution(frac: FractionalSolution, inst: AssociationInstance) -> Assoc
     largest n-link aggregate (ties to the lowest UE index), then retire
     its links' BS chains.  One sort suffices: retiring chains only
     removes links, and what remains of a sorted list is still sorted.
+    A UE's best-first result depends only on which of its cells' BS
+    chains are free, so it is kept until one of them is retired.
     UEs whose free links cannot reach their requirement are skipped.
     The result always satisfies the full constraint set.
     """
@@ -164,18 +166,24 @@ def round_solution(frac: FractionalSolution, inst: AssociationInstance) -> Assoc
     for cell in zip(caps[order].tolist(), rows[order].tolist(), cols[order].tolist()):
         cells_of_ue[inst.ue_of_chain[cell[1]]].append(cell)
 
+    ues_of_bs: list[list] = [[] for _ in range(inst.c.shape[1])]
+    for u, cells in enumerate(cells_of_ue):
+        for j in {j for _, _, j in cells}:
+            ues_of_bs[j].append(u)
+
     x = np.zeros(inst.c.shape, dtype=int)
     z = np.zeros(inst.n_ue, dtype=int)
     free_bs = [True] * inst.c.shape[1]
+    best_of: list = [None] * inst.n_ue  # _best_first_demand per UE, None when stale
     for level in range(1, inst.n_ue_rf + 1):
         while True:
             best_u, best_total, best_pairs = -1, -np.inf, ()
             for u in range(inst.n_ue):
                 if z[u]:
                     continue
-                demand, pairs, total = _best_first_demand(
-                    cells_of_ue[u], free_bs, inst.rate_req[u]
-                )
+                if best_of[u] is None:
+                    best_of[u] = _best_first_demand(cells_of_ue[u], free_bs, inst.rate_req[u])
+                demand, pairs, total = best_of[u]
                 if demand == level and total > best_total:
                     best_u, best_total, best_pairs = u, total, pairs
             if best_u < 0:
@@ -184,6 +192,8 @@ def round_solution(frac: FractionalSolution, inst: AssociationInstance) -> Assoc
             for i, j in best_pairs:
                 x[i, j] = 1
                 free_bs[j] = False  # BS chain consumed
+                for v in ues_of_bs[j]:
+                    best_of[v] = None
     return solution_from_x(inst, x)
 
 

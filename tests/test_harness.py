@@ -396,13 +396,21 @@ def test_cli_simulate_json_format(tmp_path):
         ("--rmax-sweep", "abc"),
         ("--schemes", ","),
         ("--schemes", ""),
+        ("bandwidth_hz", "nan"),  # a config key: the value replaces the config's
     ],
 )
 def test_cli_simulate_invalid_spec_exits_2_with_one_error_line(tmp_path, capsys, flag, value):
     cfg_path = tmp_path / "desk.cfg"
     replace(DESK, n_ue=4).to_config_file(cfg_path)
     args = ["simulate", "--config", str(cfg_path), "--runs", "1", "--rmax-sweep", "1e9"]
-    args += [flag, value, "--out", str(tmp_path / "out")]
+    if flag.startswith("--"):
+        args += [flag, value]
+    else:
+        lines = cfg_path.read_text().splitlines()
+        cfg_path.write_text("\n".join(
+            f"{flag} = {value}" if line.startswith(f"{flag} =") else line for line in lines
+        ) + "\n")
+    args += ["--out", str(tmp_path / "out")]
     assert cli.main(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

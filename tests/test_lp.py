@@ -1,4 +1,6 @@
 import hashlib
+import inspect
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import lp_oracle
 import mmwassoc as m
 from mmwassoc import harness, lp
 
@@ -205,3 +208,107 @@ def test_step1_lp_9x100_reproduces_pinned_vertex(monkeypatch):
     sol = _solve_step1_lp_recorded(monkeypatch, cfg, 0, r_max)
     assert sol.iterations == pivots
     assert hashlib.sha256(sol.x.tobytes()).hexdigest() == x_sha256
+
+
+# LP families for the differential test against the eager simplex of
+# tests/lp_oracle.py.  Each aims at one branch of the deferred updates:
+# "flips": upper bounds below the row limits, so entering variables flip
+#   to their other bound;
+# "ties": integer objectives on the assignment polytope, whose degenerate
+#   vertices tie in the ratio test;
+# "bland": Beale's cycling LP beside an independent random block, so the
+#   solve stalls and switches to Bland's rule;
+# "long": one to three rows under many columns, so the solve makes more
+#   pivots than rows and grows its record storage;
+# "dense": random LPs with some zero right-hand sides.
+FAMILIES = ("flips", "ties", "bland", "long", "dense")
+
+_BEALE = (
+    [0.75, -20.0, 0.5, -6.0],
+    [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+    [0.0, 0.0, 1.0],
+)
+
+
+def _family_lp(family, rng):
+    if family == "flips":
+        n, rows = int(rng.integers(2, 10)), int(rng.integers(1, 6))
+        return (rng.uniform(-1.0, 1.0, n), rng.uniform(-0.5, 1.0, (rows, n)),
+                rng.uniform(0.5, 3.0, rows), rng.uniform(0.05, 0.5, n))
+    if family == "ties":
+        k = int(rng.integers(2, 7))
+        _, a, b, u = _assignment_polytope(k)
+        return rng.integers(1, 4, k * k).astype(float), a, b, u
+    if family == "bland":
+        n, rows = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        c0, a0, b0 = _BEALE
+        a = np.zeros((3 + rows, 4 + n))
+        a[:3, :4] = a0
+        a[3:, 4:] = rng.uniform(0.1, 1.0, (rows, n))
+        return (np.concatenate([c0, rng.uniform(-1.0, 1.0, n)]), a,
+                np.concatenate([b0, rng.uniform(0.5, 2.0, rows)]),
+                np.concatenate([np.full(4, 10.0), rng.uniform(0.5, 2.0, n)]))
+    if family == "long":
+        n, rows = int(rng.integers(20, 60)), int(rng.integers(1, 4))
+        return (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, (rows, n)),
+                rng.uniform(1.0, 3.0, rows), rng.uniform(0.5, 5.0, n))
+    n, rows = int(rng.integers(2, 12)), int(rng.integers(1, 10))
+    b = rng.uniform(0.0, 2.0, rows)
+    b[rng.random(rows) < 0.4] = 0.0
+    return rng.uniform(-1.0, 1.0, n), rng.uniform(-0.5, 1.0, (rows, n)), b, rng.uniform(0.5, 2.0, n)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
+def test_deferred_updates_match_the_eager_oracle(family, seed):
+    c, a, b, u = _family_lp(family, np.random.default_rng(seed))
+    got = lp.solve_lp_max(c, a, b, u)
+    ref = lp_oracle.solve_lp_max(c, a, b, u)
+    assert got.iterations == ref.iterations
+    assert got.objective == ref.objective
+    assert got.x.tobytes() == ref.x.tobytes()
+
+
+def _branches_taken(lps):
+    """Which branches of lp.solve_lp_max the LPs run, seen by a line tracer."""
+    lines, first = inspect.getsourcelines(lp.solve_lp_max)
+    at = {
+        key: first + next(k for k, line in enumerate(lines) if text in line)
+        for key, text in [
+            ("flip", "sign_of[j] = -sign"),
+            ("bland", "(gain > _RC_TOL).argmax()"),
+            ("growth", "grown.append("),
+            ("tie", "leaving = basis[r]"),
+        ]
+    }
+    seen = set()
+
+    def local_trace(frame, event, arg):
+        if event == "line":
+            for key, line in at.items():
+                if frame.f_lineno == line:
+                    if key != "tie":
+                        seen.add(key)
+                    elif sum(ratio <= frame.f_locals["window"] for ratio in frame.f_locals["ratios"]) > 1:
+                        seen.add(key)
+        return local_trace
+
+    def global_trace(frame, event, arg):
+        return local_trace if frame.f_code is lp.solve_lp_max.__code__ else None
+
+    sys.settrace(global_trace)
+    try:
+        for args in lps:
+            lp.solve_lp_max(*args)
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "family, branch",
+    [("flips", "flip"), ("ties", "tie"), ("bland", "bland"), ("bland", "growth"), ("long", "growth")],
+)
+def test_each_family_reaches_its_branch(family, branch):
+    lps = [_family_lp(family, np.random.default_rng(seed)) for seed in range(20)]
+    assert branch in _branches_taken(lps)

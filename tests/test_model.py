@@ -190,6 +190,16 @@ def test_config_validation():
     for name in ("n_bs", "n_ue", "n_bs_rf", "n_ue_rf", "n_bs_ant", "n_ue_ant"):
         with pytest.raises(TypeError):
             m.ScenarioConfig(**{name: 2.0})
+    with pytest.raises(TypeError):
+        m.ScenarioConfig(seed=1.5)  # would fail only in SeedSequence
+    # A non-finite value would pass the range checks and poison every capacity.
+    for name in (
+        "bandwidth_hz", "bs_spacing", "carrier_ghz", "tx_power_dbm",
+        "noise_psd_dbm_hz", "sigma_aod_deg", "sigma_aoa_deg",
+    ):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                m.ScenarioConfig(**{name: bad})
 
 
 def test_config_rejects_nonfinite_or_nonpositive_rates():
