@@ -123,7 +123,6 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     np.fill_diagonal(tableau[:, n:], 1.0)
     block, block_start = store[m:], 0  # where the next records go
     grown = []  # (start, block) of the records past the first m
-    capacity = m
     pivot_rows = []  # record p: the divided pivot row
     multipliers = []  # record p: the entering column, zero where applied
     pending = [[] for _ in range(m)]  # records not yet applied to each row
@@ -217,10 +216,9 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
             mult[r] = 0.0
         pending[r].clear()
         pivot_row /= piv
-        if records == capacity:
-            block, block_start = np.empty((capacity, total)), capacity
+        if records == block_start + len(block):  # full: double the capacity
+            block, block_start = np.empty((records, total)), records
             grown.append((block_start, block))
-            capacity *= 2
         slot = block[records - block_start]
         slot[:] = pivot_row
         pivot_rows.append(slot)

@@ -81,16 +81,19 @@ def test_rejects_non_finite_inputs(where, bad):
         lp.solve_lp_max(args["objective"], args["a_ub"], args["b_ub"], [1.0, 1.0])
 
 
+# Beale (1955): Dantzig pricing with a smallest-index ratio tie-break
+# cycles on this LP (objective, rows, right-hand side).
+_BEALE = (
+    [0.75, -20.0, 0.5, -6.0],
+    [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+    [0.0, 0.0, 1.0],
+)
+
+
 def test_beale_cycling_example_ends_under_blands_rule():
-    # Beale (1955): Dantzig pricing with a smallest-index ratio tie-break
-    # cycles on this LP.  The solve stalls for 40 degenerate pivots,
-    # switches to Bland's rule and reaches the optimum in two more.
-    got = lp.solve_lp_max(
-        [0.75, -20.0, 0.5, -6.0],
-        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
-        [0.0, 0.0, 1.0],
-        np.full(4, 10.0),
-    )
+    # The solve stalls for 40 degenerate pivots, switches to Bland's rule
+    # and reaches the optimum in two more.
+    got = lp.solve_lp_max(*_BEALE, np.full(4, 10.0))
     assert got.iterations == 42
     np.testing.assert_allclose(got.x, [1.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
     assert got.objective == pytest.approx(1.25)
@@ -222,13 +225,6 @@ def test_step1_lp_9x100_reproduces_pinned_vertex(monkeypatch):
 #   pivots than rows and grows its record storage;
 # "dense": random LPs with some zero right-hand sides.
 FAMILIES = ("flips", "ties", "bland", "long", "dense")
-
-_BEALE = (
-    [0.75, -20.0, 0.5, -6.0],
-    [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
-    [0.0, 0.0, 1.0],
-)
-
 
 def _family_lp(family, rng):
     if family == "flips":
