@@ -15,10 +15,14 @@ from .step2flow import full_residual, solve_step2
 
 
 def max_sum_rate(inst: AssociationInstance) -> AssociationSolution:
-    """Jointly assign every BS chain so the network sum rate is maximal."""
-    local = solve_step2(full_residual(inst))
-    # The full residual preserves chain order, so local indexing is global.
-    return solution_from_x(inst, local.x)
+    """Jointly assign every BS chain so the network sum rate is maximal.
+
+    The full residual keeps every chain in instance order and every UE,
+    since each UE owns at least one chain, so solve_step2's solution is
+    already the global one: x has the instance's shape, and z and
+    per_ue_rate list every UE in index order, as solution_from_x would.
+    """
+    return solve_step2(full_residual(inst))
 
 
 def max_snr(inst: AssociationInstance) -> AssociationSolution:

@@ -8,9 +8,10 @@ writes records plus aggregates; `solve` runs one scheme on a single
 instance JSON and prints the solved instance (x, z, metrics).  Exit
 codes: 0 on success; 2, with one `error:` line on stderr, when simulate
 is given a config file it cannot read, or an invalid config, sweep, run
-count or exact budget; when solve is given an instance it cannot read
-or the exact search runs out of node budget; or when either command
-cannot write to --out (simulate finds out before it solves any cell).
+count or exact budget; when solve is given a node budget below 1, an
+instance it cannot read, or the exact search runs out of node budget;
+or when either command cannot write to --out (simulate finds out
+before it solves any cell, solve checks its budget before it reads).
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.node_budget < 1:  # as ExperimentSpec rejects exact_node_budget
+        return _error(f"node_budget must be >= 1, got {args.node_budget}")
     try:
         inst = instance_from_dict(json.loads(Path(args.instance).read_text()))
     except OSError as exc:

@@ -15,6 +15,7 @@ aggregates go through the same writer, one per output format.
 from __future__ import annotations
 
 import json
+import operator
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -53,9 +54,10 @@ class ExperimentSpec:
     measure_time: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_runs < 1:
+        # A float count raises TypeError, as in ScenarioConfig.
+        if operator.index(self.n_runs) < 1:
             raise ValueError("n_runs must be >= 1")
-        if self.exact_node_budget < 1:
+        if operator.index(self.exact_node_budget) < 1:
             raise ValueError("exact_node_budget must be >= 1")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:

@@ -14,9 +14,9 @@ keeping the full supply routable.  All capacities and supplies are
 integers, hence an integral optimum always exists.  Every edge but the
 overflow has capacity one, so an integral flow is a bipartite matching
 between free BS chains and free UE chains, and solve_min_cost_flow
-finds it as a rectangular assignment on the capacity block.  The edges
-are one record array of dtype EDGE_DTYPE: int64 tail, head and
-capacity, float64 cost.
+finds it with solve_assignment, a rectangular assignment on the
+capacity block.  The edges are one record array of dtype EDGE_DTYPE:
+int64 tail, head and capacity, float64 cost.
 
 The network has no per-BS budget or per-UE cap layer because neither
 can bind: a BS's leftover budget equals its number of free chains, and
@@ -24,7 +24,7 @@ every unassociated UE keeps all of its chains, so at most one link per
 chain already respects both.
 
 Capacities of sampled scenarios are continuous, so there the optimum is
-unique; solve_min_cost_flow states how it breaks ties elsewhere.
+unique; solve_assignment states how it breaks ties elsewhere.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .instance import AssociationInstance, AssociationSolution, empty_solution
+from .instance import AssociationInstance, AssociationSolution
 
 
 @dataclass(frozen=True)
@@ -85,26 +85,47 @@ def make_residual(inst: AssociationInstance, sol: AssociationSolution) -> Residu
 
 
 def full_residual(inst: AssociationInstance) -> ResidualInstance:
-    """The whole instance treated as leftover (no UE associated yet)."""
-    return make_residual(inst, empty_solution(inst))
+    """The whole instance treated as leftover (no UE associated yet).
 
-
-def _network(c: np.ndarray) -> FlowNetwork:
-    """The step-2 network of capacity block c (see build_flow_network)."""
-    n_rows, n_cols = c.shape
-    bs = 1 + np.arange(n_cols)
-    ue = 1 + n_cols + np.arange(n_rows)
-    sink = 1 + n_cols + n_rows
-    edges = np.rec.fromarrays(
-        [
-            np.concatenate([np.zeros(n_cols, int), np.repeat(bs, n_rows), ue, [0]]),
-            np.concatenate([bs, np.tile(ue, n_cols), np.full(n_rows + 1, sink)]),
-            np.concatenate([np.ones(n_cols * (1 + n_rows) + n_rows, int), [n_cols]]),
-            np.concatenate([np.zeros(n_cols), -c.T.ravel(), np.zeros(n_rows + 1)]),
-        ],
-        dtype=EDGE_DTYPE,
+    Equal, field by field, to make_residual(inst, empty_solution(inst)),
+    but it shares the instance's capacity matrix and UE map through
+    read-only views instead of copying them with np.ix_.
+    """
+    n_uc, n_bc = inst.c.shape
+    return ResidualInstance(
+        c=_read_only(inst.c),
+        ue_chain_ids=np.arange(n_uc),
+        bs_chain_ids=np.arange(n_bc),
+        ue_of_chain=_read_only(inst.ue_of_chain),
     )
-    return FlowNetwork(n_vertices=sink + 1, edges=edges, supply=n_cols, source=0, sink=sink)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _edges(c: np.ndarray) -> np.ndarray:
+    """The EDGE_DTYPE edges of the step-2 network of c (see build_flow_network)."""
+    n_rows, n_cols = c.shape
+    links = slice(n_cols, n_cols * (1 + n_rows))
+    bs = np.arange(1, 1 + n_cols)
+    ue = np.arange(1 + n_cols, 1 + n_cols + n_rows)
+    edges = np.zeros((n_rows + 1) * (n_cols + 1), EDGE_DTYPE)
+    tail, head = edges["tail"], edges["head"]
+    # Source edges 0 -> k, then the link block k -> m with k outer, then
+    # the sink edges m -> t and the overflow 0 -> t; tails of 0 and costs
+    # of 0.0 are already in place.
+    head[:n_cols] = bs
+    tail[links].reshape(n_cols, n_rows)[...] = bs[:, None]
+    head[links].reshape(n_cols, n_rows)[...] = ue
+    tail[links.stop : -1] = ue
+    head[links.stop :] = 1 + n_cols + n_rows
+    edges["capacity"] = 1
+    edges["capacity"][-1] = n_cols
+    np.negative(c.T, out=edges["cost"][links].reshape(n_cols, n_rows))
+    return edges
 
 
 def build_flow_network(res: ResidualInstance) -> FlowNetwork:
@@ -116,64 +137,102 @@ def build_flow_network(res: ResidualInstance) -> FlowNetwork:
     the n_rows sink edges, then the overflow.  Every edge but the
     overflow has capacity one; the overflow takes the whole supply.
     """
-    return _network(res.c)
+    n_rows, n_cols = res.c.shape
+    sink = 1 + n_cols + n_rows
+    edges = _edges(res.c).view(np.recarray)
+    return FlowNetwork(n_vertices=sink + 1, edges=edges, supply=n_cols, source=0, sink=sink)
 
 
 def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     """Integral min-cost flow of a step-2 network, one unit count per edge.
 
-    Only networks that build_flow_network makes are accepted: the
-    capacity block c is read back from the link costs, the network of
-    that c is rebuilt, and any difference raises ValueError.  A flow on
+    A checked wrapper around solve_assignment.  Only networks that
+    build_flow_network makes are accepted: the capacity block c is read
+    back from the link costs, the edges of that c are rebuilt and
+    compared field by field with ==, so a NaN anywhere is rejected and
+    -0.0 equals 0.0, and any difference raises ValueError.  A flow on
     such a network is a matching of BS chains to UE chains (each link
-    edge carries 0 or 1) plus overflow, so the min-cost flow is a
-    maximum-weight matching on c.  Pairs with c <= 0 get weight 0 and
-    never carry flow: a link that gains nothing costs as much as the
-    overflow.
+    edge carries 0 or 1) plus overflow, so the min-cost flow is the
+    maximum-weight matching solve_assignment finds on c.  Pairs with
+    c <= 0 never carry flow: a link that gains nothing costs as much as
+    the overflow.
+
+    The network is still built and checked although only c is needed,
+    because the benchmark's sweep tracing (bench/trace_sweep.py) reports
+    the network build and its edge count, and this solve, as their own
+    spans and counter.
+    """
+    n_cols = int(net.supply)
+    n_rows = int(net.n_vertices) - 2 - n_cols
+    edges, same = np.asarray(net.edges), False
+    sized = min(n_rows, n_cols) >= 0 and len(edges) == (n_rows + 1) * (n_cols + 1)
+    if edges.dtype == EDGE_DTYPE and sized:
+        c = -edges["cost"][n_cols : n_cols * (1 + n_rows)].reshape(n_cols, n_rows).T
+        want, sink = _edges(c), 1 + n_cols + n_rows
+        same = (net.n_vertices, net.supply, net.source, net.sink) == (sink + 1, n_cols, 0, sink)
+        same = same and all((edges[f] == want[f]).all() for f in EDGE_DTYPE.names)
+    if not same:
+        raise ValueError("not a step-2 network made by build_flow_network")
+    x = solve_assignment(c)
+    return np.concatenate([x.sum(axis=0), x.T.ravel(), x.sum(axis=1), [n_cols - x.sum()]])
+
+
+def solve_assignment(c: np.ndarray) -> np.ndarray:
+    """Maximum-weight matching of the rows of c to its columns, as 0/1 x.
+
+    x is an int64 array of the shape of c with at most one 1 per row and
+    per column.  The weights are w = max(c, 0): pairs with c <= 0 gain
+    nothing and are never matched, so x has a 1 only where c > 0.
 
     The matching is a rectangular assignment solved by shortest
     augmenting paths (Jonker & Volgenant, *Computing* 38, 1987; Crouse,
     "On implementing 2D rectangular assignment algorithms", *IEEE TAES*
-    52(4), 2016), on the weights w = max(c, 0) with rows the smaller
-    side of c.  Each row in turn is added by one dense Dijkstra search
-    over the columns on the reduced costs -w[i][j] - u[i] - v[j]; it
-    scans the list row of each row it reaches, stops at the first free
-    column it settles, then updates the duals u, v and augments along
-    the path.  The reduced costs stay non-negative and are zero on the
-    matched pairs, so after each row the matching has the largest
-    weight of all that match the rows added so far.  After the last row
-    it matches every row, and since w >= 0 and there are no more rows
-    than columns, any matching can be extended to match every row
-    without losing weight: the result is the exact optimum.
+    52(4), 2016), with rows the smaller side of c.  Reduced costs are
+    -w[i][j] - u[i] - v[j] with duals u, v.
 
-    Ties: among the unsettled columns of least label, the search
-    settles a free column first, then the one of lowest index.
+    Row-reduction start: each row's best column is the one of largest
+    weight, the lowest index among equal weights, and u[i] starts at
+    -max_j w[i][j].  In index order, each row takes its best column if
+    no earlier row holds it.  Every reduced cost then starts at
+    max_k w[i][k] - w[i][j] >= 0, it is zero on every taken pair, and
+    every v is 0.
+
+    Search: each row left over by the start, in index order, is added
+    by one dense Dijkstra search over the columns; it scans the list
+    row of each row it reaches, stops at the first free column it
+    settles, then updates the duals u, v and augments along the path.
+    The reduced costs stay non-negative and zero on the matched pairs,
+    v stays 0 on free columns and <= 0 on the others, so after each row
+    the matching has the largest weight of all that match the rows
+    matched so far.  After the last row it matches every row, and since
+    w >= 0 and there are no more rows than columns, any matching can be
+    extended to match every row without losing weight: the result is
+    the exact optimum.
+
+    Ties: the start gives a row its lowest-index best column unless an
+    earlier row holds it.  Among the unsettled columns of least label,
+    the search settles a free column first, then the one of lowest
+    index.  Sampled capacities are continuous, so there the optimum,
+    hence x, is unique whatever the tie rule.
 
     The loops run over Python lists: they read one entry at a time, and
-    indexing a numpy array boxes a new scalar on every read.  The network
-    is still built and checked although only c is needed, because the
-    benchmark's sweep tracing (bench/trace_sweep.py) reports the network
-    build and its edge count as their own span and counter.
+    indexing a numpy array boxes a new scalar on every read.
     """
-    n_cols = int(net.supply)
-    n_rows = int(net.n_vertices) - 2 - n_cols
-    edges, same = net.edges, False
-    sized = min(n_rows, n_cols) >= 0 and len(edges) == (n_rows + 1) * (n_cols + 1)
-    if edges.dtype == EDGE_DTYPE and sized:
-        c = -edges.cost[n_cols : n_cols * (1 + n_rows)].reshape(n_cols, n_rows).T
-        want = _network(c)
-        scalars = ("n_vertices", "supply", "source", "sink")
-        same = all(getattr(net, f) == getattr(want, f) for f in scalars)
-        same = same and np.array_equal(edges, want.edges)
-    if not same:
-        raise ValueError("not a step-2 network made by build_flow_network")
-
-    flip = n_rows > n_cols
-    w = np.maximum(c.T if flip else c, 0.0).tolist()
-    rows, cols = (n_cols, n_rows) if flip else (n_rows, n_cols)
-    u, v = [0.0] * rows, [0.0] * cols
-    row_of, col_of = [-1] * cols, [-1] * rows
-    for start in range(rows):
+    flip = c.shape[0] > c.shape[1]
+    wa = np.maximum(c.T if flip else c, 0.0)
+    w = wa.tolist()
+    rows, cols = wa.shape
+    v, row_of, col_of = [0.0] * cols, [-1] * cols, [-1] * rows
+    u, left = [], []
+    for i, wi in enumerate(w):
+        top = max(wi)
+        j = wi.index(top)
+        u.append(-top)
+        if row_of[j] < 0:
+            row_of[j], col_of[i] = i, j
+        else:
+            left.append(i)
+    for start in left:
         dist, via = [math.inf] * cols, [-1] * cols
         todo, done = list(range(cols)), []
         i, d = start, 0.0
@@ -205,11 +264,9 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
                 break
 
     x = np.zeros((rows, cols), dtype=np.int64)
-    for i, j in enumerate(col_of):
-        x[i, j] = w[i][j] > 0.0
-    if flip:
-        x = x.T
-    return np.concatenate([x.sum(axis=0), x.T.ravel(), x.sum(axis=1), [n_cols - x.sum()]])
+    matched = np.arange(rows)
+    x[matched, col_of] = wa[matched, col_of] > 0.0
+    return x.T if flip else x
 
 
 def solve_step2(res: ResidualInstance) -> AssociationSolution:

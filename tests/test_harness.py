@@ -91,6 +91,11 @@ def test_spec_validation():
         tiny_spec(schemes=("two-step-proposed", "bogus"))
     with pytest.raises(ValueError):
         tiny_spec(r_max_sweep=(0.1e9,))  # below r_min
+    # A float count would fail only inside the sweep, in range().
+    with pytest.raises(TypeError):
+        tiny_spec(n_runs=2.0)
+    with pytest.raises(TypeError):
+        tiny_spec(exact_node_budget=1.5)
 
 
 def test_spec_rejects_repeated_schemes_and_sweep_values():
@@ -427,6 +432,18 @@ def test_cli_simulate_nonpositive_exact_budget_exits_2_with_one_error_line(tmp_p
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "exact_node_budget" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scheme", harness.SCHEMES)
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_cli_solve_nonpositive_node_budget_exits_2_with_one_error_line(tmp_path, capsys, scheme, budget):
+    # Every scheme rejects it, before the instance is read: the file is missing.
+    args = ["solve", "--instance", str(tmp_path / "missing.json"), "--scheme", scheme]
+    assert cli.main(args + ["--node-budget", budget]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0] == f"error: node_budget must be >= 1, got {budget}"
+    assert captured.out == ""
 
 
 def _sweep_must_not_run(spec):

@@ -73,6 +73,43 @@ def test_full_residual_covers_everything():
     np.testing.assert_array_equal(res.bs_chain_ids, np.arange(6))
 
 
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def small_instances(draw):
+    """Instances of 1-5 UEs and 1-3 BSs, 1-3 chains each.
+
+    Capacities come from 0, 1e9, 2e9 and 3.5e9, so ties and zero rows
+    are common, and UE chains often outnumber BS chains, so some UEs
+    get no link.
+    """
+    n_ue, n_bs = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n_ue_rf, n_bs_rf = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shape = (n_ue * n_ue_rf, n_bs * n_bs_rf)
+    c = draw(arrays(float, shape, elements=st.sampled_from([0.0, 1e9, 2e9, 3.5e9])))
+    return m.make_instance(c, np.full(n_ue, 1e9), n_ue_rf, n_bs_rf)
+
+
+@settings(max_examples=200)
+@given(small_instances())
+def test_full_residual_and_max_sum_rate_skip_the_copies_but_not_a_byte(inst):
+    # full_residual shares the instance's arrays instead of copying them
+    # with np.ix_, and max_sum_rate returns solve_step2's solution as the
+    # global one instead of completing it again with solution_from_x.
+    res = step2flow.full_residual(inst)
+    want = step2flow.make_residual(inst, empty_solution(inst))
+    for name in ("c", "ue_chain_ids", "bs_chain_ids", "ue_of_chain"):
+        assert_same_bytes(getattr(res, name), getattr(want, name))
+    assert not res.c.flags.writeable and not res.ue_of_chain.flags.writeable
+    got = m.max_sum_rate(inst)
+    completed = solution_from_x(inst, step2flow.solve_step2(res).x)
+    for name in ("x", "z", "per_ue_rate"):
+        assert_same_bytes(getattr(got, name), getattr(completed, name))
+
+
 # ---------------------------------------------------------------------------
 # graph construction
 # ---------------------------------------------------------------------------
@@ -444,12 +481,37 @@ def test_step2_matches_assignment_objective_with_tied_and_zero_capacities(c):
     assert (x * c).sum() == c[linear_sum_assignment(c, maximize=True)].sum()
 
 
-def test_assignment_breaks_ties_by_a_free_column_then_the_lowest_index():
-    assert step2flow.solve_step2(residual_of(np.array([[1.0, 1.0]]))).x.tolist() == [[1, 0]]
+# (c, x) of blocks where the row-reduction start and the search's tie
+# rule decide which of several optimal matchings solve_assignment returns.
+TIE_CASES = {
+    # The start gives row 0 the lower of its two best columns.
+    "best-column-by-lowest-index": ([[1.0, 1.0]], [[1, 0]]),
     # Row 0 takes column 0 at weight 0.  Row 1 then reaches columns 0 and
     # 2 at the same label and settles the free one, 2.
-    c = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
-    assert step2flow.solve_step2(residual_of(c)).x.tolist() == [[0, 0, 0], [0, 0, 1]]
+    "free-column-first": ([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]], [[0, 0, 0], [0, 0, 1]]),
+    # Both rows' best column is 0: the earlier row keeps it, and the
+    # search moves row 1 to column 1 at the same total weight 3.
+    "two-rows-share-a-best-column": ([[2.0, 1.0], [2.0, 1.0]], [[1, 0], [0, 1]]),
+    # Row 0 gains nothing anywhere and takes column 0 in the start; the
+    # search for row 1 shifts it to column 1, where it gets no link.
+    "all-zero-row": ([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]], [[0, 0, 0], [1, 0, 0]]),
+    # More rows than columns, so the columns are matched: column 0's best
+    # row is 1, and column 1's best of the tied rows 0 and 2 is 0.
+    # Entries c <= 0 weigh 0 and never get a link.
+    "c-at-most-zero": ([[-1.0, 3.0], [2.0, -3.0], [0.0, 3.0]], [[0, 1], [1, 0], [0, 0]]),
+    "all-c-at-most-zero": ([[-1.0, 0.0], [0.0, -2.0]], [[0, 0], [0, 0]]),
+}
+
+
+def test_assignment_breaks_ties_by_a_free_column_then_the_lowest_index():
+    for name, (c, want) in TIE_CASES.items():
+        c = np.array(c)
+        x = step2flow.solve_assignment(c)
+        assert x.dtype == np.int64 and x.tolist() == want, name
+        assert step2flow.solve_step2(residual_of(c)).x.tolist() == want, name
+        net = step2flow.build_flow_network(residual_of(c))
+        best = flow_oracle.solve_min_cost_flow(net) @ net.edges.cost
+        assert -(x * np.maximum(c, 0.0)).sum() == best, name
 
 
 @st.composite
