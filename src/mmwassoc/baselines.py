@@ -29,16 +29,21 @@ def max_snr(inst: AssociationInstance) -> AssociationSolution:
     """Sequential per-BS greedy: each chain takes the best free UE chain.
 
     BS chains are visited in index order, so BSs in ascending order;
-    capacity is the monotone proxy for SNR at fixed bandwidth.  Pairings
-    of zero capacity are skipped; ties go to the lowest UE chain index.
+    capacity is the monotone proxy for SNR at fixed bandwidth.  Each BS
+    chain's UE chains are sorted once, by capacity from high to low; the
+    sort is stable, so ties go to the lowest UE chain index.  A BS chain
+    takes the first UE chain of its order that no earlier BS chain took,
+    unless that capacity is zero, and takes none when every UE chain is
+    taken.
     """
     x = np.zeros(inst.c.shape, dtype=int)
-    free = np.ones(inst.c.shape[0], dtype=bool)
-    for j in range(inst.c.shape[1]):
-        gains = np.where(free, inst.c[:, j], 0.0)
-        if gains.max(initial=0.0) <= 0.0:
-            continue
-        i = int(np.argmax(gains))  # argmax returns the lowest index on ties
-        x[i, j] = 1
-        free[i] = False
+    free = [True] * inst.c.shape[0]
+    orders = (-inst.c).argsort(axis=0, kind="stable").T.tolist()
+    for j, (order, caps) in enumerate(zip(orders, inst.c.T.tolist())):
+        for i in order:
+            if free[i]:
+                if caps[i] > 0.0:
+                    x[i, j] = 1
+                    free[i] = False
+                break
     return solution_from_x(inst, x)
