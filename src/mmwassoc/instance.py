@@ -61,9 +61,9 @@ class AssociationInstance:
         object.__setattr__(self, "bs_of_chain", np.arange(n_bc) // self.n_bs_rf)
         if self.rate_req.shape != (self.n_ue,):
             raise ValueError("rate_req length must equal the number of UEs")
-        if not np.all(np.isfinite(self.rate_req)) or np.any(self.rate_req <= 0):
+        if not (np.isfinite(self.rate_req) & (self.rate_req > 0)).all():
             raise ValueError("rate requirements must be finite and > 0")
-        if np.any(self.c < 0) or not np.all(np.isfinite(self.c)):
+        if not (np.isfinite(self.c) & (self.c >= 0)).all():
             raise ValueError("capacities must be finite and >= 0")
 
     @property
@@ -180,11 +180,12 @@ def weight_term(c_ij, r_u, n_ue_rf: int):
     lam2*F2 maximizes F1 with the fewest chains when
     0 < lam2/lam1 < 1/n_ue_rf.
     """
-    if np.any(np.asarray(r_u) <= 0):
+    c_ij = np.asarray(c_ij, dtype=float)
+    if not (np.asarray(r_u) > 0).all():  # NaN fails too
         raise ValueError("rate requirement must be > 0")
-    if np.any(np.asarray(c_ij) < 0):
+    if not (c_ij >= 0).all():
         raise ValueError("capacity must be >= 0")
-    return 1.0 / (n_ue_rf + 1.0 + np.asarray(c_ij, dtype=float) / r_u)
+    return 1.0 / (n_ue_rf + 1.0 + c_ij / r_u)
 
 
 def objective_step1(inst: AssociationInstance, sol: AssociationSolution) -> float:

@@ -103,11 +103,11 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         return LpSolution(x=np.zeros(0), objective=0.0, iterations=0)
     if a.shape != (m, n):
         raise ValueError(f"constraint matrix shape {a.shape} != ({m}, {n})")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("objective, a_ub and b_ub must be finite")
-    if np.any(b < 0):
+    if not (b >= 0).all():
         raise ValueError("b_ub must be >= 0 (all-zeros must be feasible)")
-    if np.any(ub_struct <= 0) or not np.all(np.isfinite(ub_struct)):
+    if not ((ub_struct > 0) & np.isfinite(ub_struct)).all():
         raise ValueError("upper bounds must be finite and > 0")
     if m == 0:
         x = np.where(c > 0, ub_struct, 0.0)
@@ -235,11 +235,13 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         sign_of[j] = 1.0
         sign_of[leaving] = -1.0 if leaves_at_upper else 1.0
 
-    x_full = np.where(sign_of < 0, ub, 0.0)
-    x_full[~np.isfinite(x_full)] = 0.0
+    # Nonbasic variables sit at a bound; a slack only ever at 0, since its
+    # upper bound is infinite: it can neither flip nor leave at it.
+    x_full = np.zeros(total)
+    x_full[:n] = np.where(sign_of[:n] < 0, ub_struct, 0.0)
     x_full[basis] = values
     x_struct = x_full[:n]
-    if np.any(x_struct < -_FEAS_TOL) or np.any(x_struct > ub_struct + _FEAS_TOL):
+    if not ((x_struct >= -_FEAS_TOL) & (x_struct <= ub_struct + _FEAS_TOL)).all():
         raise SimplexError("final point violates its bounds beyond tolerance")
-    x_struct = np.clip(x_struct, 0.0, ub_struct)
+    x_struct = x_struct.clip(0.0, ub_struct)
     return LpSolution(x=x_struct, objective=float(c @ x_struct), iterations=iterations)

@@ -188,7 +188,7 @@ def path_loss_db(distance_m, carrier_ghz: float):
     if carrier_ghz <= 0:
         raise ValueError(f"carrier frequency must be > 0, got {carrier_ghz}")
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         warnings.warn(
             f"non-positive distance clamped to {DISTANCE_FLOOR_M} m", stacklevel=2
         )
@@ -199,7 +199,7 @@ def path_loss_db(distance_m, carrier_ghz: float):
 def link_capacity(path_gain, gain_ue, gain_bs, cfg: ScenarioConfig):
     """Capacity B*log2(1 + SNR) in bit/s for one (or many) chain pairs."""
     for name, g in (("path_gain", path_gain), ("gain_ue", gain_ue), ("gain_bs", gain_bs)):
-        if np.any(np.asarray(g) < 0):
+        if not (np.asarray(g) >= 0).all():  # NaN fails too
             raise ValueError(f"{name} must be >= 0")
     p_mw = 10.0 ** (cfg.tx_power_dbm / 10.0)
     n0_mw_hz = 10.0 ** (cfg.noise_psd_dbm_hz / 10.0)

@@ -57,7 +57,7 @@ class FractionalSolution:
 
     def __post_init__(self) -> None:
         for arr in (self.x_frac, self.z_frac):
-            if np.any(arr < -1e-9) or np.any(arr > 1 + 1e-9):
+            if not ((arr >= -1e-9) & (arr <= 1 + 1e-9)).all():  # NaN fails too
                 raise ValueError("fractional values must lie in [0, 1]")
 
 
