@@ -107,7 +107,7 @@ def merge_solutions(
     """
     x = first.x.copy()
     if second_local.x.size:
-        block = np.ix_(res.ue_chain_ids, res.bs_chain_ids)
+        block = res.ue_chain_ids[:, None], res.bs_chain_ids
         x[block] = x[block] | second_local.x
     return solution_from_x(inst, x)
 

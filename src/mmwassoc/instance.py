@@ -151,21 +151,21 @@ def check_feasibility(
     violations: list[tuple[str, int]] = []
     chains_per_ue = _per_ue(inst, x.sum(axis=1))
     if "5b" in constraints:
-        for j in np.flatnonzero(x.sum(axis=0) > 1):
+        for j in (x.sum(axis=0) > 1).nonzero()[0]:
             violations.append(("5b", int(j)))
     if "5c" in constraints:
-        for i in np.flatnonzero(x.sum(axis=1) > 1):
+        for i in (x.sum(axis=1) > 1).nonzero()[0]:
             violations.append(("5c", int(i)))
     if "5d" in constraints:
         per_bs = np.bincount(inst.bs_of_chain, weights=x.sum(axis=0), minlength=inst.n_bs)
-        for b in np.flatnonzero(per_bs > inst.n_bs_rf):
+        for b in (per_bs > inst.n_bs_rf).nonzero()[0]:
             violations.append(("5d", int(b)))
     if "5e" in constraints:
-        for u in np.flatnonzero(chains_per_ue > z * inst.n_ue_rf):
+        for u in (chains_per_ue > z * inst.n_ue_rf).nonzero()[0]:
             violations.append(("5e", int(u)))
     if "5f" in constraints:
         per_ue = _per_ue(inst, (x * inst.c).sum(axis=1))
-        for u in np.flatnonzero(per_ue < z * inst.rate_req - RATE_TOL_BPS):
+        for u in (per_ue < z * inst.rate_req - RATE_TOL_BPS).nonzero()[0]:
             violations.append(("5f", int(u)))
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))
 

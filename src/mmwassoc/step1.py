@@ -159,7 +159,7 @@ def round_solution(frac: FractionalSolution, inst: AssociationInstance) -> Assoc
     """
     if frac.x_frac.shape != inst.c.shape:
         raise ValueError("fractional solution does not match instance shape")
-    rows, cols = np.nonzero((frac.x_frac > SUPPORT_EPS) & (inst.c > 0))
+    rows, cols = ((frac.x_frac > SUPPORT_EPS) & (inst.c > 0)).nonzero()
     caps = inst.c[rows, cols]
     order = np.lexsort((cols, rows, -caps))
     cells_of_ue: list[list] = [[] for _ in range(inst.n_ue)]

@@ -74,10 +74,10 @@ class FlowNetwork:
 
 def make_residual(inst: AssociationInstance, sol: AssociationSolution) -> ResidualInstance:
     """Strip the chains consumed and UEs associated by a step-1 solution."""
-    free_bs = np.flatnonzero(sol.x.sum(axis=0) == 0)
-    na_rows = np.flatnonzero(sol.z[inst.ue_of_chain] == 0)
+    free_bs = (sol.x.sum(axis=0) == 0).nonzero()[0]
+    na_rows = (sol.z[inst.ue_of_chain] == 0).nonzero()[0]
     return ResidualInstance(
-        c=inst.c[np.ix_(na_rows, free_bs)],
+        c=inst.c[na_rows[:, None], free_bs],
         ue_chain_ids=na_rows,
         bs_chain_ids=free_bs,
         ue_of_chain=inst.ue_of_chain[na_rows],
@@ -277,7 +277,9 @@ def solve_step2(res: ResidualInstance) -> AssociationSolution:
         flow = solve_min_cost_flow(build_flow_network(res))
         # The link edges follow the n_cols source edges, BS chain outer.
         x = flow[n_cols : n_cols * (1 + n_rows)].reshape(n_cols, n_rows).T.astype(int)
-    ues, ue_pos = np.unique(res.ue_of_chain, return_inverse=True)
+    # The residual's UEs in ascending order, and each row's position among them.
+    ues = np.bincount(res.ue_of_chain).nonzero()[0]
+    ue_pos = ues.searchsorted(res.ue_of_chain)
     per_ue = np.bincount(ue_pos, weights=(x * res.c).sum(axis=1), minlength=len(ues))
     links = np.bincount(ue_pos, weights=x.sum(axis=1), minlength=len(ues))
     return AssociationSolution(x=x, z=(links > 0).astype(int), per_ue_rate=per_ue)
