@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mmwassoc as m
-from mmwassoc.instance import STRUCTURAL_CONSTRAINTS
+from mmwassoc.instance import STRUCTURAL_CONSTRAINTS, solution_from_x
 
 from conftest import canonical_value, pairs_of, random_instance, step2_oracle
 from mmwassoc.step2flow import full_residual
@@ -52,6 +53,55 @@ def test_max_snr_skips_zero_capacity():
     inst = m.make_instance(np.zeros((2, 2)), np.array([1e9, 1e9]), 1, 2)
     sol = m.max_snr(inst)
     assert sol.x.sum() == 0 and sol.z.sum() == 0
+
+
+def max_snr_per_column(inst):
+    """Reference: max_snr as it was before it sorted each column once,
+    four numpy calls per BS chain."""
+    x = np.zeros(inst.c.shape, dtype=int)
+    free = np.ones(inst.c.shape[0], dtype=bool)
+    for j in range(inst.c.shape[1]):
+        gains = np.where(free, inst.c[:, j], 0.0)
+        if gains.max(initial=0.0) <= 0.0:
+            continue
+        i = int(np.argmax(gains))  # argmax returns the lowest index on ties
+        x[i, j] = 1
+        free[i] = False
+    return solution_from_x(inst, x)
+
+
+def assert_same_solution(got, want):
+    for name in ("x", "z", "per_ue_rate"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def tied_instances(draw):
+    """Integer capacities 0-3, so ties are common; some BS-chain columns
+    all zero; BS chains often outnumber UE chains."""
+    n_ue, n_ue_rf = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    n_bs, n_bs_rf = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = (n_ue * n_ue_rf, n_bs * n_bs_rf)
+    c = draw(arrays(float, shape, elements=st.integers(0, 3).map(float)))
+    c[:, draw(arrays(bool, shape[1]))] = 0.0
+    return m.make_instance(c, np.ones(n_ue), n_ue_rf, n_bs_rf)
+
+
+@settings(max_examples=300)
+@given(tied_instances())
+def test_max_snr_matches_the_per_column_greedy(inst):
+    assert_same_solution(m.max_snr(inst), max_snr_per_column(inst))
+
+
+def test_max_snr_leaves_bs_chains_idle_once_every_ue_chain_is_taken():
+    # Four BS chains, two UE chains, all tied: the first two BS chains
+    # take UE chains 0 and 1, the last two find none free.
+    inst = m.make_instance(np.ones((2, 4)), np.array([1.0]), 2, 2)
+    sol = m.max_snr(inst)
+    assert sol.x.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert_same_solution(sol, max_snr_per_column(inst))
 
 
 def test_sequential_greed_strictly_worse_than_joint():

@@ -170,6 +170,8 @@ def test_link_capacity_monotone_in_beam_gains(a, b):
 def test_link_capacity_rejects_negative_gain():
     with pytest.raises(ValueError):
         m.link_capacity(-1e-9, 1.0, 1.0, m.ScenarioConfig())
+    with pytest.raises(ValueError, match="path_gain"):  # NaN is not >= 0
+        m.link_capacity(np.nan, 1.0, 1.0, m.ScenarioConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def test_weight_term_rejects_zero_requirement():
         m.weight_term(1e9, 0.0, 2)
 
 
+def test_weight_term_rejects_nan():
+    # NaN is neither > 0 nor >= 0, so it fails the range guards.
+    with pytest.raises(ValueError, match="rate requirement"):
+        m.weight_term(1e9, np.nan, 2)
+    with pytest.raises(ValueError, match="capacity"):
+        m.weight_term(np.nan, 1e9, 2)
+
+
 @given(st.floats(0, 1e12), st.floats(1e3, 1e12), st.integers(1, 8))
 def test_weight_term_range(c, r, n):
     w = m.weight_term(c, r, n)
@@ -161,6 +169,8 @@ def test_fractional_solution_validation():
         step1.FractionalSolution(
             x_frac=np.array([[1.5]]), z_frac=np.array([1.0]), lp_objective=0.0
         )
+    with pytest.raises(ValueError):  # NaN lies in no range
+        step1.FractionalSolution(np.array([[np.nan]]), np.array([0.5]), 0.0)
 
 
 def _scipy_relaxation_objective(inst, with_5d=False):

@@ -11,7 +11,12 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 import mmwassoc as m
 from mmwassoc import harness, step2flow
-from mmwassoc.instance import STRUCTURAL_CONSTRAINTS, empty_solution, solution_from_x
+from mmwassoc.instance import (
+    STRUCTURAL_CONSTRAINTS,
+    AssociationSolution,
+    empty_solution,
+    solution_from_x,
+)
 from mmwassoc.step2flow import EDGE_DTYPE, FlowNetwork, relaxed_step2_lp
 
 import flow_oracle
@@ -108,6 +113,96 @@ def test_full_residual_and_max_sum_rate_skip_the_copies_but_not_a_byte(inst):
     completed = solution_from_x(inst, step2flow.solve_step2(res).x)
     for name in ("x", "z", "per_ue_rate"):
         assert_same_bytes(getattr(got, name), getattr(completed, name))
+
+
+def residual_with_ix(inst, sol):
+    """Reference: make_residual as it indexed with np.flatnonzero and np.ix_."""
+    free_bs = np.flatnonzero(sol.x.sum(axis=0) == 0)
+    na_rows = np.flatnonzero(sol.z[inst.ue_of_chain] == 0)
+    return step2flow.ResidualInstance(
+        c=inst.c[np.ix_(na_rows, free_bs)],
+        ue_chain_ids=na_rows,
+        bs_chain_ids=free_bs,
+        ue_of_chain=inst.ue_of_chain[na_rows],
+    )
+
+
+def step2_with_unique(res):
+    """Reference: solve_step2 as it found the residual's UEs with np.unique."""
+    n_rows, n_cols = res.c.shape
+    x = np.zeros((n_rows, n_cols), dtype=int)
+    if res.c.size:
+        flow = step2flow.solve_min_cost_flow(step2flow.build_flow_network(res))
+        x = flow[n_cols : n_cols * (1 + n_rows)].reshape(n_cols, n_rows).T.astype(int)
+    ues, ue_pos = np.unique(res.ue_of_chain, return_inverse=True)
+    per_ue = np.bincount(ue_pos, weights=(x * res.c).sum(axis=1), minlength=len(ues))
+    links = np.bincount(ue_pos, weights=x.sum(axis=1), minlength=len(ues))
+    return AssociationSolution(x=x, z=(links > 0).astype(int), per_ue_rate=per_ue)
+
+
+def merge_with_ix(inst, first, res, second_local):
+    """Reference: merge_solutions as it indexed with np.ix_."""
+    x = first.x.copy()
+    if second_local.x.size:
+        block = np.ix_(res.ue_chain_ids, res.bs_chain_ids)
+        x[block] = x[block] | second_local.x
+    return solution_from_x(inst, x)
+
+
+def assert_residual_indexing_matches_the_references(inst, first):
+    res, want = step2flow.make_residual(inst, first), residual_with_ix(inst, first)
+    for name in ("c", "ue_chain_ids", "bs_chain_ids", "ue_of_chain"):
+        assert_same_bytes(getattr(res, name), getattr(want, name))
+    sol, want_sol = step2flow.solve_step2(res), step2_with_unique(want)
+    merged = harness.merge_solutions(inst, first, res, sol)
+    want_merged = merge_with_ix(inst, first, want, want_sol)
+    for name in ("x", "z", "per_ue_rate"):
+        assert_same_bytes(getattr(sol, name), getattr(want_sol, name))
+        assert_same_bytes(getattr(merged, name), getattr(want_merged, name))
+
+
+@st.composite
+def step1_outcomes(draw):
+    """An instance with the step-1 solution its relaxation rounds to, or
+    with a drawn one that associates any set of UEs and takes any set of
+    BS chains, all or none of either included."""
+    inst = draw(small_instances())
+    if draw(st.booleans()):
+        return inst, m.round_solution(m.solve_step1_lp(inst), inst)
+    n_uc, n_bc = inst.c.shape
+    x = np.zeros((n_uc, n_bc), dtype=int)
+    for j in np.flatnonzero(draw(arrays(bool, n_bc))):
+        x[draw(st.integers(0, n_uc - 1)), j] = 1
+    z = draw(arrays(int, inst.n_ue, elements=st.integers(0, 1)))
+    return inst, AssociationSolution(x=x, z=z, per_ue_rate=np.zeros(inst.n_ue))
+
+
+@settings(max_examples=300)
+@given(step1_outcomes())
+def test_residual_indexing_matches_ix_and_unique(outcome):
+    assert_residual_indexing_matches_the_references(*outcome)
+
+
+def test_residual_indexing_matches_ix_and_unique_on_gaps_and_empty_residuals():
+    # Three UEs of two chains, two BSs of two chains, all links 1e9.
+    inst = m.make_instance(np.full((6, 4), 1e9), np.full(3, 1e9), 2, 2)
+    one = np.zeros((6, 4), dtype=int)
+    one[2, 1] = 1  # UE 1 takes BS chain 1
+    every_bs_chain = np.eye(6, 4, dtype=int)
+    cases = {
+        "UE ids with a gap": (one, [0, 1, 0]),
+        "every UE associated": (one, [1, 1, 1]),
+        "no free BS chain": (every_bs_chain, [1, 1, 0]),
+        "nothing left at all": (every_bs_chain, [1, 1, 1]),
+    }
+    for name, (x, z) in cases.items():
+        first = AssociationSolution(x=x, z=np.array(z), per_ue_rate=np.zeros(3))
+        res = step2flow.make_residual(inst, first)
+        if name == "UE ids with a gap":
+            assert res.ue_of_chain.tolist() == [0, 0, 2, 2]
+        else:
+            assert res.c.size == 0, name
+        assert_residual_indexing_matches_the_references(inst, first)
 
 
 # ---------------------------------------------------------------------------
