@@ -167,13 +167,15 @@ def beamforming_gain(est_angle, true_angle, n: int):
 
     Broadcasts over array-valued angles.  Equals 1 exactly when
     sin(est) == sin(true) (and at grating repeats where they differ by
-    an even integer).
+    an even integer).  A NaN or infinite angle raises ValueError.
     """
     if n < 1:
         raise ValueError(f"element count must be >= 1, got {n}")
-    delta = np.sin(np.asarray(est_angle, dtype=float)) - np.sin(
-        np.asarray(true_angle, dtype=float)
-    )
+    est = np.asarray(est_angle, dtype=float)
+    true = np.asarray(true_angle, dtype=float)
+    if not (np.isfinite(est).all() and np.isfinite(true).all()):
+        raise ValueError("angles must be finite")
+    delta = np.sin(est) - np.sin(true)
     # |sum_k exp(j*pi*k*delta)|^2 / n^2, the squared inner product.
     s = np.exp(1j * np.pi * np.multiply.outer(delta, np.arange(n))).sum(axis=-1)
     return (s.real**2 + s.imag**2) / n**2
@@ -183,11 +185,14 @@ def path_loss_db(distance_m, carrier_ghz: float):
     """Urban-micro LOS path loss: 32.4 + 21*log10(d_m) + 20*log10(f_GHz).
 
     Distances below DISTANCE_FLOOR_M are clamped to the floor;
-    non-positive distances additionally raise a warning.
+    non-positive distances additionally raise a warning, and a NaN
+    distance raises ValueError.
     """
     if carrier_ghz <= 0:
         raise ValueError(f"carrier frequency must be > 0, got {carrier_ghz}")
     d = np.asarray(distance_m, dtype=float)
+    if np.isnan(d).any():
+        raise ValueError("distance must not be NaN")
     if (d <= 0).any():
         warnings.warn(
             f"non-positive distance clamped to {DISTANCE_FLOOR_M} m", stacklevel=2

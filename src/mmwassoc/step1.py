@@ -66,7 +66,7 @@ class FractionalSolution:
 # ---------------------------------------------------------------------------
 
 
-def _relaxation_rows(inst: AssociationInstance):
+def _relaxation_rows(inst: AssociationInstance) -> tuple[lp.SparseRows, np.ndarray]:
     """Constraint rows 5b, 5c, 5e, 5f over variables [x (row-major), z].
 
     Rows come in that order: one 5b row per BS chain, one 5c row per UE
@@ -74,24 +74,38 @@ def _relaxation_rows(inst: AssociationInstance):
     no rows: every BS owns exactly n_bs_rf chains, so summing its 5b rows
     already bounds its active links by n_bs_rf.  The 5f rows are scaled
     by 1/r_u so coefficients stay O(1) alongside the unit rows.
+
+    The rows are returned as lp.SparseRows triplets, since only 4 of each
+    x column's and 2 of each z column's entries are nonzero (2.7 % of a
+    full.cfg cell's 145 x 1530 matrix).  Every x column lists its 5f
+    entry, so -c / r_u is kept as -0.0 where c == 0 and np.asarray of the
+    triplets equals the dense rows bit for bit.
     """
     n_uc, n_bc = inst.c.shape
     n_ue = inst.n_ue
     nx = n_uc * n_bc
-    cells = np.arange(nx).reshape(n_uc, n_bc)
-    ue = inst.ue_of_chain[:, None]
     row_5e = n_bc + n_uc
     row_5f = row_5e + n_ue
-    a = np.zeros((row_5f + n_ue, nx + n_ue))
-    a[np.arange(n_bc), cells] = 1.0  # 5b: BS chain serves <= 1 UE chain
-    a[n_bc + np.arange(n_uc)[:, None], cells] = 1.0  # 5c: UE chain uses <= 1 BS chain
-    a[row_5e + ue, cells] = 1.0  # 5e: links only when flagged, <= n_ue_rf
-    a[row_5f + ue, cells] = -inst.c / inst.rate_req[ue]  # 5f: flagged UEs meet r_u
-    z_cols = nx + np.arange(n_ue)
-    a[row_5e + np.arange(n_ue), z_cols] = -float(inst.n_ue_rf)
-    a[row_5f + np.arange(n_ue), z_cols] = 1.0
+    # Each x column has one entry in each of the blocks 5b, 5c, 5e and 5f
+    # (the first 4 * nx triplets, block by block), each z column one 5e and
+    # one 5f entry (the last 2 * n_ue).
+    nnz = 4 * nx + 2 * n_ue
+    rows = np.empty(nnz, dtype=np.intp)
+    x_rows = rows[: 4 * nx].reshape(4, n_uc, n_bc)
+    x_rows[0] = np.arange(n_bc)  # 5b: BS chain serves <= 1 UE chain
+    x_rows[1] = np.arange(n_bc, row_5e)[:, None]  # 5c: UE chain uses <= 1 BS chain
+    x_rows[2] = (row_5e + inst.ue_of_chain)[:, None]  # 5e: links only when flagged, <= n_ue_rf
+    x_rows[3] = x_rows[2] + n_ue  # 5f: flagged UEs meet r_u
+    rows[4 * nx :] = np.arange(row_5e, row_5f + n_ue)
+    cols = np.empty(nnz, dtype=np.intp)
+    cols[: 4 * nx].reshape(4, nx)[:] = np.arange(nx)
+    cols[4 * nx :].reshape(2, n_ue)[:] = np.arange(nx, nx + n_ue)
+    values = np.ones(nnz)
+    x_5f = values[3 * nx : 4 * nx].reshape(n_uc, n_bc)
+    np.divide(-inst.c, inst.rate_req[inst.ue_of_chain][:, None], out=x_5f)
+    values[4 * nx : 4 * nx + n_ue] = -float(inst.n_ue_rf)
     rhs = np.concatenate([np.ones(n_bc + n_uc), np.zeros(2 * n_ue)])
-    return a, rhs
+    return lp.SparseRows(rows, cols, values, (row_5f + n_ue, nx + n_ue)), rhs
 
 
 def solve_step1_lp(inst: AssociationInstance) -> FractionalSolution:
@@ -102,7 +116,8 @@ def solve_step1_lp(inst: AssociationInstance) -> FractionalSolution:
     objective = np.concatenate([-weights.ravel(), np.ones(inst.n_ue)])
     a_ub, b_ub = _relaxation_rows(inst)
     res = lp.solve_lp_max(objective, a_ub, b_ub, np.ones(nx + inst.n_ue))
-    residual = a_ub @ res.x - b_ub
+    lhs = np.bincount(a_ub.rows, weights=a_ub.values * res.x[a_ub.cols], minlength=b_ub.size)
+    residual = lhs - b_ub
     if not residual.max(initial=0.0) <= 1e-7:  # a NaN residual fails too
         raise lp.SimplexError("relaxed constraints violated beyond tolerance")
     return FractionalSolution(

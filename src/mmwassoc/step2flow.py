@@ -298,8 +298,13 @@ def relaxed_step2_lp(res: ResidualInstance) -> tuple[np.ndarray, float]:
     nx = n_rows * n_cols
     if nx == 0:
         return np.zeros((n_rows, n_cols)), 0.0
-    # Variable i * n_cols + j is the link (UE chain i, BS chain j).
-    a = np.vstack([np.tile(np.eye(n_cols), n_rows), np.repeat(np.eye(n_rows), n_cols, axis=1)])
+    # Variable i * n_cols + j is the link (UE chain i, BS chain j): row j
+    # (5b) and row n_cols + i (5c) hold a 1 in its column.
+    rows = np.concatenate(
+        [np.tile(np.arange(n_cols), n_rows), n_cols + np.repeat(np.arange(n_rows), n_cols)]
+    )
+    cols = np.tile(np.arange(nx), 2)
+    a = lp.SparseRows(rows, cols, np.ones(2 * nx), (n_cols + n_rows, nx))
     sol = lp.solve_lp_max(res.c.ravel(), a, np.ones(n_cols + n_rows), np.ones(nx))
     return sol.x.reshape(n_rows, n_cols), sol.objective
 

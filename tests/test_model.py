@@ -74,6 +74,14 @@ def test_beamforming_gain_eight_element_offset():
     )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_beamforming_gain_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="finite"):
+        m.beamforming_gain(bad, 0.1, 8)
+    with pytest.raises(ValueError, match="finite"):
+        m.beamforming_gain(np.array([0.1, 0.2]), np.array([0.0, bad]), 8)
+
+
 def test_beamforming_gain_matches_steering_inner_product():
     rng = np.random.default_rng(3)
     for est, true in rng.uniform(-1.5, 1.5, (20, 2)):
@@ -102,6 +110,13 @@ def test_path_loss_clamps_and_warns():
     assert pl == m.path_loss_db(DISTANCE_FLOOR_M, 28.0)
     # sub-floor but positive distances clamp silently
     assert m.path_loss_db(0.5, 28.0) == m.path_loss_db(DISTANCE_FLOOR_M, 28.0)
+
+
+def test_path_loss_rejects_nan_distance():
+    with pytest.raises(ValueError, match="NaN"):
+        m.path_loss_db(np.nan, 28.0)
+    with pytest.raises(ValueError, match="NaN"):
+        m.path_loss_db(np.array([10.0, np.nan]), 28.0)
 
 
 @given(st.floats(1.0, 1e5), st.floats(1.0, 1e5))
