@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,13 +73,54 @@ def test_rejects_bad_bounds():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["objective", "a_ub", "b_ub"])
+@pytest.mark.parametrize("where", ["objective", "a_ub", "b_ub", "triplets"])
 def test_rejects_non_finite_inputs(where, bad):
     args = {"objective": [1.0, 2.0], "a_ub": [[1.0, 1.0]], "b_ub": [1.0]}
-    args[where] = np.array(args[where])
-    args[where].flat[0] = bad
+    key = "a_ub" if where == "triplets" else where
+    args[key] = np.array(args[key])
+    args[key].flat[0] = bad
+    if where == "triplets":
+        args[key] = lp.SparseRows(np.array([0, 0]), np.array([0, 1]), args[key][0], (1, 2))
     with pytest.raises(ValueError, match="finite"):
         lp.solve_lp_max(args["objective"], args["a_ub"], args["b_ub"], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "rows, cols, values, match",
+    [
+        ([0, 2], [0, 1], [1.0, 1.0], "outside"),  # row past m
+        ([-1, 1], [0, 1], [1.0, 1.0], "outside"),  # negative row
+        ([0, 1], [0, 3], [1.0, 1.0], "outside"),  # column past n
+        ([0, 1], [-1, 1], [1.0, 1.0], "outside"),  # negative column
+        ([0, 1], [0, 1], [1.0], "one length"),
+        ([0, 1, 1], [0, 1], [1.0, 1.0], "one length"),
+        ([[0, 1]], [[0, 1]], [[1.0, 1.0]], "1-D"),
+    ],
+)
+def test_sparse_rows_reject_bad_triplets(rows, cols, values, match):
+    with pytest.raises(ValueError, match=match):
+        lp.SparseRows(np.array(rows), np.array(cols), np.array(values), (2, 3))
+
+
+def test_sparse_rows_of_the_wrong_shape_are_rejected():
+    a = lp.SparseRows(np.array([0]), np.array([2]), np.array([1.0]), (1, 3))
+    with pytest.raises(ValueError, match="shape"):
+        lp.solve_lp_max([1.0, 1.0], a, [1.0], [1.0, 1.0])
+
+
+def test_sparse_rows_densify_without_a_warning():
+    a = lp.SparseRows(np.array([1, 0]), np.array([0, 2]), np.array([-0.0, 3.0]), (2, 3))
+    want = np.array([[0.0, 0.0, 3.0], [-0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy 2 warns on an __array__ without copy=
+        assert np.asarray(a).tobytes() == want.tobytes()
+        assert np.array(a, copy=True).tobytes() == want.tobytes()
+        assert np.asarray(a, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):  # a dense form is always a new array
+        np.array(a, copy=False)
+    back = lp.SparseRows.from_dense(want)  # -0.0 is kept, +0.0 is not
+    assert back.rows.tolist() == [0, 1] and back.cols.tolist() == [2, 0]
+    assert np.asarray(back).tobytes() == want.tobytes()
 
 
 # Beale (1955): Dantzig pricing with a smallest-index ratio tie-break
@@ -252,6 +294,22 @@ def _family_lp(family, rng):
     b = rng.uniform(0.0, 2.0, rows)
     b[rng.random(rows) < 0.4] = 0.0
     return rng.uniform(-1.0, 1.0, n), rng.uniform(-0.5, 1.0, (rows, n)), b, rng.uniform(0.5, 2.0, n)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
+def test_triplets_and_their_dense_form_solve_alike(family, seed):
+    # The triplets of the nonzeros in a shuffled order, built without
+    # SparseRows.from_dense, against their dense form.
+    rng = np.random.default_rng(seed)
+    c, a, b, u = _family_lp(family, rng)
+    rows, cols = np.nonzero(a)
+    order = rng.permutation(rows.size)
+    triplets = lp.SparseRows(rows[order], cols[order], a[rows, cols][order], a.shape)
+    got = lp.solve_lp_max(c, triplets, b, u)
+    ref = lp.solve_lp_max(c, np.asarray(triplets), b, u)
+    assert got.iterations == ref.iterations
+    assert got.x.tobytes() == ref.x.tobytes()
 
 
 @settings(max_examples=400)

@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +252,80 @@ def test_lp_without_5d_rows_matches_lp_with_them():
         assert frac.lp_objective == pytest.approx(want, abs=1e-7), f"trial {trial}"
         per_bs = np.bincount(inst.bs_of_chain, weights=frac.x_frac.sum(axis=0), minlength=inst.n_bs)
         assert np.all(per_bs <= inst.n_bs_rf + 1e-9), f"trial {trial}"
+
+
+def _dense_relaxation_rows(inst):
+    """The rows as step1._relaxation_rows built them densely: the oracle."""
+    n_uc, n_bc = inst.c.shape
+    n_ue = inst.n_ue
+    nx = n_uc * n_bc
+    cells = np.arange(nx).reshape(n_uc, n_bc)
+    ue = inst.ue_of_chain[:, None]
+    row_5e = n_bc + n_uc
+    row_5f = row_5e + n_ue
+    a = np.zeros((row_5f + n_ue, nx + n_ue))
+    a[np.arange(n_bc), cells] = 1.0  # 5b: BS chain serves <= 1 UE chain
+    a[n_bc + np.arange(n_uc)[:, None], cells] = 1.0  # 5c: UE chain uses <= 1 BS chain
+    a[row_5e + ue, cells] = 1.0  # 5e: links only when flagged, <= n_ue_rf
+    a[row_5f + ue, cells] = -inst.c / inst.rate_req[ue]  # 5f: flagged UEs meet r_u
+    z_cols = nx + np.arange(n_ue)
+    a[row_5e + np.arange(n_ue), z_cols] = -float(inst.n_ue_rf)
+    a[row_5f + np.arange(n_ue), z_cols] = 1.0
+    rhs = np.concatenate([np.ones(n_bc + n_uc), np.zeros(2 * n_ue)])
+    return a, rhs
+
+
+def _relaxation_instances(kind):
+    if kind == "random":  # a third of the capacities 0, so 5f holds -0.0 entries
+        rng = np.random.default_rng(606)
+        insts = []
+        for _ in range(30):
+            inst = random_instance(
+                rng,
+                n_ue=int(rng.integers(1, 8)),
+                n_bs=int(rng.integers(1, 4)),
+                n_ue_rf=int(rng.integers(1, 4)),
+                n_bs_rf=int(rng.integers(1, 4)),
+            )
+            c = np.where(rng.random(inst.c.shape) < 1 / 3, 0.0, inst.c)
+            insts.append(m.make_instance(c, inst.rate_req, inst.n_ue_rf, inst.n_bs_rf))
+        return insts
+    full = m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg")
+    if kind == "9x100":
+        return [harness.build_cell_instance(replace(full, n_bs=9, n_ue=100), 0, 2e9)]
+    cfg = m.ScenarioConfig.from_config_file(CONFIGS / f"{kind}.cfg")
+    return [harness.build_cell_instance(cfg, run, r) for run in range(3) for r in (0.5e9, 8e9)]
+
+
+@pytest.mark.parametrize("kind", ["random", "desk", "full", "9x100"])
+def test_relaxation_triplets_densify_to_the_dense_rows(kind):
+    negative_zeros = 0
+    for inst in _relaxation_instances(kind):
+        a, b = step1._relaxation_rows(inst)
+        want_a, want_b = _dense_relaxation_rows(inst)
+        got = np.asarray(a)
+        assert got.shape == want_a.shape
+        assert got.tobytes() == want_a.tobytes()  # bytes: -0.0 differs from 0.0
+        assert b.tobytes() == want_b.tobytes()
+        negative_zeros += int(np.signbit(a.values[a.values == 0.0]).sum())
+    assert negative_zeros > 0 or kind != "random"
+
+
+def test_step1_lp_never_holds_a_dense_constraint_matrix():
+    # tracemalloc peak of one full.cfg cell (145 x 1530 rows): the simplex
+    # store of 2m x (n + m) float64, plus less than half of one dense m x n
+    # matrix.  A dense relaxation (1.77 MB) beside the store does not fit.
+    cfg = m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg")
+    inst = harness.build_cell_instance(cfg, 0, 2e9)
+    rows, cols = step1._relaxation_rows(inst)[0].shape
+    bound = 2 * rows * (rows + cols) * 8 + rows * cols * 8 // 2
+    tracemalloc.start()
+    try:
+        m.solve_step1_lp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------
