@@ -100,7 +100,9 @@ class SimplexError(RuntimeError):
 class SparseRows:
     """An m x n constraint matrix as (row, column, value) triplets.
 
-    Unlisted entries are +0.0, and no position may be listed twice.
+    Unlisted entries are +0.0, and no position may be listed twice.  The
+    row and column indices are integer arrays: a float or boolean one is
+    rejected, since it cannot index, or would index as a mask.
     np.asarray densifies it, so readers of dense rows take it as they are.
     """
 
@@ -115,6 +117,8 @@ class SparseRows:
         values = np.asarray(self.values, dtype=float)
         if not (rows.ndim == 1 and rows.shape == cols.shape == values.shape):
             raise ValueError("rows, cols and values must be 1-D and of one length")
+        if rows.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+            raise ValueError("rows and cols must be integer arrays")
         inside = 0 <= rows.min(initial=0) and rows.max(initial=-1) < m
         if not (inside and 0 <= cols.min(initial=0) and cols.max(initial=-1) < n):
             raise ValueError(f"a triplet index lies outside shape ({m}, {n})")

@@ -171,44 +171,49 @@ def round_solution(frac: FractionalSolution, inst: AssociationInstance) -> Assoc
     chains are free, so it is kept until one of them is retired.
     UEs whose free links cannot reach their requirement are skipped.
     The result always satisfies the full constraint set.
+
+    The picks read Python lists, since indexing a numpy array boxes a new
+    scalar on every read; x is filled once from the picked links.
     """
     if frac.x_frac.shape != inst.c.shape:
         raise ValueError("fractional solution does not match instance shape")
     rows, cols = ((frac.x_frac > SUPPORT_EPS) & (inst.c > 0)).nonzero()
     caps = inst.c[rows, cols]
     order = np.lexsort((cols, rows, -caps))
-    cells_of_ue: list[list] = [[] for _ in range(inst.n_ue)]
+    n_ue, n_bc = inst.n_ue, inst.c.shape[1]
+    ue_of_chain, rate_req = inst.ue_of_chain.tolist(), inst.rate_req.tolist()
+    cells_of_ue: list[list] = [[] for _ in range(n_ue)]
     for cell in zip(caps[order].tolist(), rows[order].tolist(), cols[order].tolist()):
-        cells_of_ue[inst.ue_of_chain[cell[1]]].append(cell)
+        cells_of_ue[ue_of_chain[cell[1]]].append(cell)
 
-    ues_of_bs: list[list] = [[] for _ in range(inst.c.shape[1])]
+    ues_of_bs: list[list] = [[] for _ in range(n_bc)]
     for u, cells in enumerate(cells_of_ue):
         for j in {j for _, _, j in cells}:
             ues_of_bs[j].append(u)
 
-    x = np.zeros(inst.c.shape, dtype=int)
-    z = np.zeros(inst.n_ue, dtype=int)
-    free_bs = [True] * inst.c.shape[1]
-    best_of: list = [None] * inst.n_ue  # _best_first_demand per UE, None when stale
+    free_bs = [True] * n_bc
+    best_of: list = [None] * n_ue  # _best_first_demand per UE, None when stale
+    open_ues = list(range(n_ue))  # UEs not associated yet, ascending
+    links: list[tuple[int, int]] = []
     for level in range(1, inst.n_ue_rf + 1):
         while True:
-            best_u, best_total, best_pairs = -1, -np.inf, ()
-            for u in range(inst.n_ue):
-                if z[u]:
-                    continue
+            best_u, best_total, best_pairs = -1, -math.inf, ()
+            for u in open_ues:
                 if best_of[u] is None:
-                    best_of[u] = _best_first_demand(cells_of_ue[u], free_bs, inst.rate_req[u])
+                    best_of[u] = _best_first_demand(cells_of_ue[u], free_bs, rate_req[u])
                 demand, pairs, total = best_of[u]
                 if demand == level and total > best_total:
                     best_u, best_total, best_pairs = u, total, pairs
             if best_u < 0:
                 break
-            z[best_u] = 1
-            for i, j in best_pairs:
-                x[i, j] = 1
+            open_ues.remove(best_u)
+            links.extend(best_pairs)
+            for _, j in best_pairs:
                 free_bs[j] = False  # BS chain consumed
                 for v in ues_of_bs[j]:
                     best_of[v] = None
+    x = np.zeros(inst.c.shape, dtype=int)
+    x[[i for i, _ in links], [j for _, j in links]] = 1
     return solution_from_x(inst, x)
 
 

@@ -1,11 +1,13 @@
 """General min-cost flow solver, the test oracle for step 2.
 
-`mmwassoc.step2flow.solve_min_cost_flow` accepts only the step-2
-network and solves it as an assignment.  This successive shortest-path
-solver takes any network of EDGE_DTYPE edges: any source and sink,
+`mmwassoc.step2flow.solve_min_cost_flow` accepts only a step-2
+`FlowNetwork`, which holds its capacity block, and solves it as an
+assignment.  This successive shortest-path solver takes any network of
+EDGE_DTYPE edges: a hand-built `Network` of any source and sink,
 capacities above one, costs of either sign, supply that cannot be
-routed.  The tests check the assignment against it, and it against
-scipy's HiGHS on the node-arc LP.
+routed, or a `FlowNetwork`, whose edges it reads the same way.  The
+tests check the assignment against it, and it against scipy's HiGHS on
+the node-arc LP.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from mmwassoc.step2flow import EDGE_DTYPE, FlowNetwork
+from mmwassoc.step2flow import EDGE_DTYPE
 
 # A Bellman-Ford relaxation must lower a label by more than this.  Costs
 # whose decimal values cancel around a cycle, such as -0.1, -1.1 and 1.2,
@@ -26,8 +29,23 @@ from mmwassoc.step2flow import EDGE_DTYPE, FlowNetwork
 _RELAX_MARGIN = 1e-12
 
 
-def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
+@dataclass(frozen=True)
+class Network:
+    """Directed graph whose edges are EDGE_DTYPE records (tail, head,
+    capacity, cost), edge k being flow entry k; supply enters at source."""
+
+    n_vertices: int
+    edges: np.recarray
+    supply: int
+    source: int
+    sink: int
+
+
+def solve_min_cost_flow(net) -> np.ndarray:
     """Integral min-cost flow of the full supply, one unit count per edge.
+
+    net is a Network or a step-2 FlowNetwork: anything with n_vertices,
+    edges, supply, source and sink.
 
     Successive shortest paths between excess and deficit vertices on
     reduced costs (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,

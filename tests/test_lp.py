@@ -95,6 +95,10 @@ def test_rejects_non_finite_inputs(where, bad):
         ([0, 1], [0, 1], [1.0], "one length"),
         ([0, 1, 1], [0, 1], [1.0, 1.0], "one length"),
         ([[0, 1]], [[0, 1]], [[1.0, 1.0]], "1-D"),
+        ([0.5, 1.0], [0, 1], [1.0, 1.0], "integer"),  # float rows
+        ([0, 1], [0.0, 1.0], [1.0, 1.0], "integer"),  # float cols, integral values
+        ([True, False], [0, 1], [1.0, 1.0], "integer"),  # bool rows index as a mask
+        ([0, 1], [False, True], [1.0, 1.0], "integer"),
     ],
 )
 def test_sparse_rows_reject_bad_triplets(rows, cols, values, match):

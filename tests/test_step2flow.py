@@ -17,7 +17,7 @@ from mmwassoc.instance import (
     empty_solution,
     solution_from_x,
 )
-from mmwassoc.step2flow import EDGE_DTYPE, FlowNetwork, relaxed_step2_lp
+from mmwassoc.step2flow import EDGE_DTYPE, relaxed_step2_lp
 
 import flow_oracle
 from conftest import (
@@ -251,6 +251,84 @@ def test_vertex_and_edge_counts_after_dense_step1():
     assert net.supply == n_free
 
 
+def network_residuals():
+    """(name, residual) pairs: random blocks, the full and post-rounding
+    residuals of a desk, a full.cfg and a 9 x 100 cell, a 1 x 1 block and
+    an all-zero block."""
+    rng = np.random.default_rng(61)
+    out = [(f"random {k}", random_residual(rng, n_ues=k + 1)) for k in range(5)]
+    desk = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
+    full = m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg")
+    cells = {
+        "desk": harness.build_cell_instance(desk, 0, 1e9),
+        "full.cfg": harness.build_cell_instance(full, 0, 2e9),
+        "9x100": harness.build_cell_instance(replace(full, n_bs=9, n_ue=100), 0, 2e9),
+    }
+    for name, inst in cells.items():
+        first = m.round_solution(m.solve_step1_lp(inst), inst)
+        out.append((f"{name} full", step2flow.full_residual(inst)))
+        out.append((f"{name} post-rounding", step2flow.make_residual(inst, first)))
+    out.append(("1 x 1", single_link_residual()))
+    out.append(("all zero", residual_of(np.zeros((4, 3)))))
+    return out
+
+
+def test_flow_network_is_its_capacity_block():
+    for name, res in network_residuals():
+        rows, cols = res.c.shape
+        res = replace(res, c=res.c.copy())  # writable, unlike a full residual's c
+        want_c, want_edges = res.c.copy(), step2flow._edges(res.c.copy())
+        net, read_late = step2flow.build_flow_network(res), step2flow.build_flow_network(res)
+        counts = (net.n_vertices, net.supply, net.source, net.sink)
+        assert counts == (2 + rows + cols, cols, 0, 1 + rows + cols), name
+        assert isinstance(net.edges, np.recarray), name
+        assert not net.edges.flags.writeable and not net.c.flags.writeable, name
+        assert_same_bytes(net.edges, want_edges)
+        # Writing to the residual afterwards reaches neither the block nor
+        # the edges, whether they were read before the write or after it.
+        res.c[...] = 7.0
+        for built in (net, read_late):
+            assert_same_bytes(built.c, want_c)
+            assert_same_bytes(built.edges, want_edges)
+
+
+def test_flow_network_rejects_a_nan_capacity():
+    for name, res in network_residuals():
+        if res.c.size == 0:
+            continue
+        c = res.c.copy()
+        c.flat[c.size // 2] = np.nan
+        with pytest.raises(ValueError):
+            step2flow.solve_min_cost_flow(step2flow.build_flow_network(replace(res, c=c)))
+    with pytest.raises(ValueError, match="2-D"):
+        step2flow.FlowNetwork(np.zeros(3))
+
+
+def test_schemes_build_no_edge_record(monkeypatch):
+    # The step-2 network of the sweep holds only its capacity block; its
+    # edges are derived on first read, which no scheme does.
+    desk = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
+    cell = harness.build_cell_instance(desk, 0, 2e9)
+    first = m.round_solution(m.solve_step1_lp(cell), cell)
+    assert step2flow.make_residual(cell, first).c.size
+    # Step 1 serves the only UE on the only BS chain, so step 2 gets an
+    # empty residual.
+    served = m.make_instance(np.array([[5e9]]), np.array([1e9]), 1, 1)
+    runs = [(cell, s) for s in ("two-step-proposed", "max-sum-rate", "max-snr")]
+    runs.append((served, "two-step-proposed"))
+    want = [harness.run_scheme(inst, scheme) for inst, scheme in runs]
+
+    def no_edges(c):
+        raise AssertionError("an edge record was built")
+
+    monkeypatch.setattr(step2flow, "_edges", no_edges)
+    for (inst, scheme), (want_sol, want_chains) in zip(runs, want):
+        sol, chains = harness.run_scheme(inst, scheme)
+        assert chains == want_chains
+        for name in ("x", "z", "per_ue_rate"):
+            assert_same_bytes(getattr(sol, name), getattr(want_sol, name))
+
+
 # ---------------------------------------------------------------------------
 # min-cost flow of the step-2 network
 # ---------------------------------------------------------------------------
@@ -293,19 +371,22 @@ def test_flow_conservation_and_budgets():
 
 def test_solver_rejects_networks_build_flow_network_does_not_make():
     # Each of these has an integral min-cost flow, which the general
-    # solver finds; the assignment solves only the step-2 layout.
+    # solver finds; the assignment solves only the step-2 network, and
+    # only build_flow_network makes one.
     net = step2flow.build_flow_network(single_link_residual())
     edges = net.edges.tolist()
+    same = flow_oracle.Network(net.n_vertices, net.edges, net.supply, net.source, net.sink)
     others = [
-        replace(net, edges=edge_array(*edges[:-1], (0, 3, 1, 1.0))),  # overflow costs 1
-        replace(net, edges=edge_array(edges[0], (1, 2, 2, -2e9), *edges[2:])),  # link capacity 2
-        replace(net, edges=edge_array(*edges[::-1])),  # edges out of order
-        replace(net, edges=edge_array(*edges, (1, 2, 1, -1e9))),  # a parallel link
-        replace(net, sink=2),
-        FlowNetwork(3, edge_array((0, 1, 1, 0.0), (1, 2, 1, 0.0)), 1, 0, 2),  # a path, no overflow
+        replace(same, edges=edge_array(*edges[:-1], (0, 3, 1, 1.0))),  # overflow costs 1
+        replace(same, edges=edge_array(edges[0], (1, 2, 2, -2e9), *edges[2:])),  # link capacity 2
+        replace(same, edges=edge_array(*edges[::-1])),  # edges out of order
+        replace(same, edges=edge_array(*edges, (1, 2, 1, -1e9))),  # a parallel link
+        replace(same, sink=2),
+        flow_oracle.Network(3, edge_array((0, 1, 1, 0.0), (1, 2, 1, 0.0)), 1, 0, 2),  # a path, no overflow
     ]
     for other in others:
         flow_oracle.solve_min_cost_flow(other)
+    for other in [*others, object()]:
         with pytest.raises(ValueError, match="build_flow_network"):
             step2flow.solve_min_cost_flow(other)
 
@@ -318,7 +399,7 @@ def test_solver_rejects_networks_build_flow_network_does_not_make():
 def test_malformed_graph_rejected():
     with pytest.raises(ValueError):
         flow_oracle.solve_min_cost_flow(
-            FlowNetwork(
+            flow_oracle.Network(
                 n_vertices=2,
                 edges=edge_array((0, 5, 1, 0.0)),
                 supply=1,
@@ -328,7 +409,7 @@ def test_malformed_graph_rejected():
         )
     with pytest.raises(ValueError):
         flow_oracle.solve_min_cost_flow(
-            FlowNetwork(
+            flow_oracle.Network(
                 n_vertices=2,
                 edges=edge_array((0, 1, -1, 0.0)),
                 supply=0,
@@ -340,7 +421,7 @@ def test_malformed_graph_rejected():
     float_caps = np.dtype([(name, float) for name in EDGE_DTYPE.names])
     with pytest.raises(ValueError, match="EDGE_DTYPE"):
         flow_oracle.solve_min_cost_flow(
-            FlowNetwork(
+            flow_oracle.Network(
                 n_vertices=2,
                 edges=np.rec.array([(0, 1, 0.5, 0.0)], dtype=float_caps),
                 supply=0,
@@ -352,11 +433,12 @@ def test_malformed_graph_rejected():
     # the solver index from the end of its lists and run on for minutes.
     for supply, source, sink in ((1, 0, 5), (0, -1, 1)):
         with pytest.raises(ValueError, match="source and sink"):
-            flow_oracle.solve_min_cost_flow(FlowNetwork(2, edge_array((0, 1, 1, 0.0)), supply, source, sink))
+            net = flow_oracle.Network(2, edge_array((0, 1, 1, 0.0)), supply, source, sink)
+            flow_oracle.solve_min_cost_flow(net)
 
 
 def test_negative_cycle_rejected():
-    net = FlowNetwork(
+    net = flow_oracle.Network(
         n_vertices=3,
         edges=edge_array((0, 1, 1, -1.0), (1, 2, 1, -1.0), (2, 0, 1, -1.0)),
         supply=0,
@@ -370,7 +452,7 @@ def test_negative_cycle_rejected():
 def test_round_off_zero_cycle_is_not_a_negative_cycle():
     # -0.1 - 1.1 + 1.2 sums to about -2.2e-16 in float64; _RELAX_MARGIN
     # keeps Bellman-Ford from relabelling around it for all n passes.
-    net = FlowNetwork(
+    net = flow_oracle.Network(
         n_vertices=4,
         edges=edge_array((0, 1, 1, -0.1), (1, 2, 1, -1.1), (2, 0, 1, 1.2), (2, 3, 1, 0.0)),
         supply=1,
@@ -382,7 +464,7 @@ def test_round_off_zero_cycle_is_not_a_negative_cycle():
 
 def test_unroutable_supply_rejected():
     # No overflow edge and not enough path capacity for the supply.
-    net = FlowNetwork(
+    net = flow_oracle.Network(
         n_vertices=3,
         edges=edge_array((0, 1, 1, 0.0), (1, 2, 1, 0.0)),
         supply=2,
@@ -415,7 +497,7 @@ def general_networks(draw):
             head = draw(st.integers(0, n - 1).filter(lambda h, t=tail: h != t))
         cost = draw(st.integers(-500 if dag else 0, 1000)) / 100
         records.append((tail, head, draw(st.integers(0, 4)), cost))
-    return FlowNetwork(
+    return flow_oracle.Network(
         n_vertices=n,
         edges=edge_array(*records),
         supply=draw(st.integers(0, 8)),
@@ -491,7 +573,7 @@ def excess_networks(draw):
         else:
             cap, cost = draw(st.integers(0, 4)), draw(st.integers(0, 10)) + phi[tail] - phi[head]
         records.append((tail, head, cap, float(cost)))
-    return FlowNetwork(
+    return flow_oracle.Network(
         n_vertices=n,
         edges=edge_array(*records),
         supply=draw(st.integers(0, 10)),
@@ -534,7 +616,7 @@ EXCESS_CASES = {
 
 @pytest.mark.parametrize("n, records, supply, source, sink, want", EXCESS_CASES.values(), ids=EXCESS_CASES)
 def test_min_cost_flow_routes_each_start_of_the_source_push(n, records, supply, source, sink, want):
-    net = FlowNetwork(n, edge_array(*records), supply, source, sink)
+    net = flow_oracle.Network(n, edge_array(*records), supply, source, sink)
     assert flow_oracle.solve_min_cost_flow(net).tolist() == want
     assert_matches_node_arc_lp(net)
 
@@ -542,7 +624,7 @@ def test_min_cost_flow_routes_each_start_of_the_source_push(n, records, supply, 
 def test_unroutable_supply_detected_from_a_pushed_vertex():
     # The push leaves 1 unit on the dead end 1 and sends 1 straight to the
     # sink 2; the search from vertex 1 finds no deficit and gives up.
-    net = FlowNetwork(3, edge_array((0, 1, 1, 0.0), (0, 2, 1, 5.0)), 2, 0, 2)
+    net = flow_oracle.Network(3, edge_array((0, 1, 1, 0.0), (0, 2, 1, 5.0)), 2, 0, 2)
     with pytest.raises(ValueError, match="routed"):
         flow_oracle.solve_min_cost_flow(net)
     assert node_arc_lp(net).status == 2
