@@ -88,7 +88,7 @@ RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 _MEAN_FIELDS = RECORD_FIELDS[RECORD_FIELDS.index("scheme") + 1 :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoStepResult:
     combined: AssociationSolution
     step1_solution: AssociationSolution

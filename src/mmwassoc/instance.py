@@ -36,7 +36,7 @@ ALL_CONSTRAINTS = ("5b", "5c", "5d", "5e", "5f")
 STRUCTURAL_CONSTRAINTS = ("5b", "5c", "5d", "5e")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssociationInstance:
     """Capacity matrix, requirements and per-device chain counts.
 
@@ -75,7 +75,7 @@ class AssociationInstance:
         return self.c.shape[1] // self.n_bs_rf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssociationSolution:
     """Binary assignment x, association flags z, and per-UE aggregate rate."""
 

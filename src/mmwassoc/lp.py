@@ -23,12 +23,12 @@ so it is scattered as -0.0.  Pivots and x therefore do not depend on
 the form A came in.
 
 Row updates are deferred to the rows that pivot, in the manner of the
-product form of the inverse (Dantzig & Orchard-Hays, 1954).  Each pivot
-is recorded as two vectors: its divided pivot row, and its multiplier
-column, the entering column with the pivot row's entry zeroed.  Tableau
-row i holds row i as it stood after it last pivoted (at first, the
-input row), and the records made since then with a nonzero multiplier
-at i are pending on it.  Only two kinds of tableau entries are read:
+product form of the inverse (Dantzig & Orchard-Hays, 1954).  Pivot p is
+recorded as its divided pivot row and as row p of the multiplier matrix
+mults, the entering column with the pivot row's entry zeroed.  Tableau
+row i holds row i as it stood after it last pivoted (at first, the input
+row); its pending records are the nonzeros of column i of mults, each
+zeroed once applied.  Only two kinds of tableau entries are read:
   * the entering column, rebuilt at each pivot from the rows' stored
     entries by replaying, in pivot order, the records whose pivot row is
     nonzero in that column; the ratio test and the update of the basic
@@ -60,12 +60,12 @@ reduced cost is exactly 0.0 (the divided pivot entry is exactly 1.0, so
 c - c * 1.0 == 0.0, and later pivots subtract exact zeros from it), so
 pricing needs no basis mask.
 
-Storage.  Record rows are written once and never moved.  The first m
-share one allocation with the tableau (rows m..2m-1 of it), and records
-past them go to blocks of doubling size that are never copied; record
-rows stay uninitialised until written, so unused ones cost no memory.
-A solve with at most m pivots thus makes one large allocation, as the eager simplex did, and touches
-only the record rows it writes.
+Storage.  Record rows are written once and never moved or copied.  The
+first m share one allocation with the tableau (rows m..2m-1 of it);
+records past them go to blocks of doubling size, and only the m-column
+mults doubles by copy.  Unwritten record rows stay uninitialised and
+cost no memory, so a solve with at most m pivots makes one large
+allocation, as the eager simplex did, and touches only the rows it writes.
 """
 
 from __future__ import annotations
@@ -96,12 +96,13 @@ class SimplexError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseRows:
     """An m x n constraint matrix as (row, column, value) triplets.
 
-    Unlisted entries are +0.0, and no position may be listed twice.  The
-    row and column indices are integer arrays: a float or boolean one is
+    Unlisted entries are +0.0.  No position may be listed twice: not
+    checked; the producers in this package are tested for it.  The row
+    and column indices are integer arrays: a float or boolean one is
     rejected, since it cannot index, or would index as a mask.
     np.asarray densifies it, so readers of dense rows take it as they are.
     """
@@ -140,7 +141,7 @@ class SparseRows:
         return a if dtype is None else a.astype(dtype, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     x: np.ndarray
     objective: float
@@ -183,16 +184,13 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     flat.fill(0.0)
     flat[a.rows * total + a.cols] = a.values
     flat[n :: total + 1] = 1.0
-    block, block_start = store[m:], 0  # where the next records go
-    grown = []  # (start, block) of the records past the first m
+    blocks = [store[m:]]  # record rows, in blocks of doubling size
     pivot_rows = []  # record p: the divided pivot row
-    multipliers = []  # record p: the entering column, zero where applied
-    pending = [[] for _ in range(m)]  # records not yet applied to each row
+    mults = np.empty((m, m))  # row p: record p's entering column, zero where applied
     values = b.tolist()  # current basic-variable values
     obj_row = np.concatenate([c, np.zeros(m)])  # reduced costs
     ub = ub_struct.tolist() + [math.inf] * m
     basis = list(range(n, total))
-    ub_basic = [math.inf] * m  # ub[basis]
     sign_of = np.ones(total)  # -1.0 where a nonbasic variable sits at its upper bound
     gain = np.empty(total)
     scratch = np.empty(total)
@@ -216,17 +214,14 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         # Entering column: the stored entries, then, in pivot order, each
         # record whose pivot row is nonzero at j.
         records = len(pivot_rows)
-        gathered = store[: m + min(records, m), j].copy()
-        column = gathered[:m]
-        head = gathered[m:]
-        for p in head.nonzero()[0].tolist():
-            np.multiply(multipliers[p], head[p], out=col_scratch)
-            column -= col_scratch
-        for start, blk in grown:
-            part = blk[: records - start, j]
+        column = tableau[:, j].copy()
+        start = 0
+        for block in blocks:
+            part = block[: records - start, j]
             for p in part.nonzero()[0].tolist():
-                np.multiply(multipliers[start + p], part[p], out=col_scratch)
+                np.multiply(mults[start + p], part[p], out=col_scratch)
                 column -= col_scratch
+            start += len(block)
         support = column.nonzero()[0]
         col = column[support].tolist()
         if sign < 0:
@@ -239,7 +234,7 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         # max(0.0, v) is +0.0 for v == -0.0, as np.maximum(v, 0.0) is.
         ratios = [
             max(0.0, values[i]) / ci if ci > _PIV_TOL
-            else (ub_basic[i] - values[i]) / -ci if ci < -_PIV_TOL
+            else (ub[basis[i]] - values[i]) / -ci if ci < -_PIV_TOL
             else math.inf
             for i, ci in zip(support, col)
         ]
@@ -268,32 +263,27 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
             raise SimplexError("numerically singular pivot")
         leaves_at_upper = sign * piv < 0
 
-        # Row r catches up on its pending records, in pivot order, and
-        # becomes record number `records`.
+        # Row r catches up on its pending records, the nonzeros of its
+        # column of mults, in pivot order, and becomes record `records`.
         pivot_row = tableau[r]
-        for p in pending[r]:
-            mult = multipliers[p]
-            np.multiply(pivot_rows[p], mult[r], out=scratch)
+        due = mults[:records, r]
+        for p in due.nonzero()[0].tolist():
+            np.multiply(pivot_rows[p], due[p], out=scratch)
             pivot_row -= scratch
-            mult[r] = 0.0
-        pending[r].clear()
+            due[p] = 0.0
         pivot_row /= piv
-        if records == block_start + len(block):  # full: double the capacity
-            block, block_start = np.empty((records, total)), records
-            grown.append((block_start, block))
-        slot = block[records - block_start]
+        if records == len(mults):  # full: double the capacity
+            blocks.append(np.empty((records, total)))
+            mults = np.concatenate([mults, np.empty_like(mults)])
+        slot = blocks[-1][records - len(mults)]  # the last block ends at len(mults)
         slot[:] = pivot_row
         pivot_rows.append(slot)
         column[r] = 0.0
-        multipliers.append(column)
-        for i in support:
-            pending[i].append(records)
-        pending[r].pop()  # r is on the support; its own record is applied
+        mults[records] = column
         np.multiply(pivot_row, obj_row[j], out=scratch)
         obj_row -= scratch
 
         basis[r] = j
-        ub_basic[r] = ub[j]
         sign_of[j] = 1.0
         sign_of[leaving] = -1.0 if leaves_at_upper else 1.0
 

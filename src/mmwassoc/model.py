@@ -132,7 +132,7 @@ class ScenarioConfig:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioRealization:
     """One sampled scenario.
 

@@ -47,7 +47,7 @@ class NodeBudgetExceeded(RuntimeError):
         self.incumbent = incumbent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalSolution:
     """Box-relaxation optimum: x*, z* in [0, 1], and the relaxed objective."""
 

@@ -43,7 +43,7 @@ from . import lp
 from .instance import AssociationInstance, AssociationSolution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualInstance:
     """Free resources after step 1, restricted to unassociated UEs.
 
@@ -65,7 +65,7 @@ class ResidualInstance:
 EDGE_DTYPE = np.dtype([("tail", "i8"), ("head", "i8"), ("capacity", "i8"), ("cost", "f8")])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowNetwork:
     """The step-2 network of one capacity block c (see build_flow_network).
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mmwassoc as m
-from mmwassoc import cli, harness
+from mmwassoc import cli, harness, lp
 from mmwassoc.instance import STRUCTURAL_CONSTRAINTS, instance_to_dict
 from mmwassoc.model import FIELD_PARSERS
 
@@ -77,6 +77,34 @@ def test_two_step_rejects_unknown_solver():
     inst = m.make_instance(np.array([[1e9]]), np.array([1e9]), 1, 1)
     with pytest.raises(ValueError):
         m.run_two_step(inst, "branch-and-pray")
+
+
+def _desk_cell():
+    return harness.build_cell_instance(DESK, 0, 1e9)
+
+
+# Each builder makes a new object from the same inputs, so two calls give
+# equal records in separate arrays.
+ARRAY_RECORDS = {
+    "AssociationInstance": _desk_cell,
+    "AssociationSolution": lambda: m.max_sum_rate(_desk_cell()),
+    "SparseRows": lambda: lp.SparseRows.from_dense(np.eye(3)),
+    "LpSolution": lambda: lp.solve_lp_max(np.ones(3), np.eye(3), np.ones(3), np.ones(3)),
+    "ScenarioRealization": lambda: m.sample_scenario(DESK),
+    "FractionalSolution": lambda: m.solve_step1_lp(_desk_cell()),
+    "ResidualInstance": lambda: m.full_residual(_desk_cell()),
+    "FlowNetwork": lambda: m.build_flow_network(m.full_residual(_desk_cell())),
+    "TwoStepResult": lambda: m.run_two_step(_desk_cell(), "lp-round"),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_holding_arrays_compare_to_a_bool(name):
+    # A field-wise == would compare the arrays and raise on their truth value.
+    first, second = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(first).__name__ == name
+    assert isinstance(first == second, bool)
+    assert (first == first) is True
 
 
 # ---------------------------------------------------------------------------

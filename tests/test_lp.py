@@ -330,15 +330,16 @@ def test_deferred_updates_match_the_eager_oracle(family, seed):
 def _branches_taken(lps):
     """Which branches of lp.solve_lp_max the LPs run, seen by a line tracer."""
     lines, first = inspect.getsourcelines(lp.solve_lp_max)
-    at = {
-        key: first + next(k for k, line in enumerate(lines) if text in line)
-        for key, text in [
-            ("flip", "sign_of[j] = -sign"),
-            ("bland", "(gain > _RC_TOL).argmax()"),
-            ("growth", "grown.append("),
-            ("tie", "leaving = basis[r]"),
-        ]
-    }
+    at = {}
+    for key, text in [
+        ("flip", "sign_of[j] = -sign"),
+        ("bland", "(gain > _RC_TOL).argmax()"),
+        ("growth", "blocks.append("),
+        ("tie", "leaving = basis[r]"),
+    ]:
+        found = [k for k, line in enumerate(lines) if text in line]
+        assert found, f"the {key!r} marker {text!r} is not in lp.solve_lp_max's source"
+        at[key] = first + found[0]
     seen = set()
 
     def local_trace(frame, event, arg):
