@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,7 @@ from scipy.optimize import linprog
 
 import lp_oracle
 import mmwassoc as m
-from mmwassoc import harness, lp
+from mmwassoc import harness, lp, step1
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -257,6 +258,24 @@ def test_step1_lp_9x100_reproduces_pinned_vertex(monkeypatch):
     sol = _solve_step1_lp_recorded(monkeypatch, cfg, 0, r_max)
     assert sol.iterations == pivots
     assert hashlib.sha256(sol.x.tobytes()).hexdigest() == x_sha256
+
+
+def test_step1_lp_record_growth_never_copies_the_written_records(monkeypatch):
+    # The benchmark LP that pivots past m (full.cfg seed 5, run 1, 4 Gbit/s:
+    # 166 pivots on 145 rows), so its records outgrow the store's m record
+    # rows into a second block.  The tracemalloc peak stays below twice the
+    # 2m x (n + m) store; a store that copied its records on growth would
+    # hold the old and new records at once (about 5.25 m(n + m) float64).
+    cfg = replace(m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg"), seed=5)
+    rows, cols = step1._relaxation_rows(harness.build_cell_instance(cfg, 1, 4e9))[0].shape
+    tracemalloc.start()
+    try:
+        sol = _solve_step1_lp_recorded(monkeypatch, cfg, 1, 4e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.iterations > rows
+    assert peak < 4 * rows * (rows + cols) * 8
 
 
 # LP families for the differential test against the eager simplex of

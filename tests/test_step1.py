@@ -329,33 +329,6 @@ def test_step1_lp_never_holds_a_dense_constraint_matrix():
     assert peak < bound
 
 
-def test_step1_lp_record_growth_never_copies_the_written_records(monkeypatch):
-    # The benchmark LP that pivots past m (full.cfg seed 5, run 1, 4 Gbit/s:
-    # 166 pivots on 145 rows), so its records outgrow the store's m record
-    # rows into a second block.  The tracemalloc peak stays below twice the
-    # 2m x (n + m) store; a store that copied its records on growth would
-    # hold the old and new records at once (about 5.25 m(n + m) float64).
-    cfg = m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg")
-    inst = harness.build_cell_instance(replace(cfg, seed=5), 1, 4e9)
-    rows, cols = step1._relaxation_rows(inst)[0].shape
-    solutions = []
-    solve = lp.solve_lp_max
-
-    def recording_solve(*args):
-        solutions.append(solve(*args))
-        return solutions[-1]
-
-    monkeypatch.setattr(lp, "solve_lp_max", recording_solve)
-    tracemalloc.start()
-    try:
-        m.solve_step1_lp(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert solutions[0].iterations > rows
-    assert peak < 4 * rows * (rows + cols) * 8
-
-
 @pytest.mark.parametrize("kind", ["desk", "full", "9x100", "residual"])
 def test_lp_triplets_list_no_position_twice(kind, monkeypatch):
     # SparseRows does not check the rule: solve_lp_max's scatter would keep
