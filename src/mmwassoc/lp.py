@@ -159,6 +159,8 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     n = c.size
     m = b.size
 
+    if ub_struct.shape != (n,):
+        raise ValueError(f"upper bounds shape {ub_struct.shape} != ({n},)")
     if n == 0:
         return LpSolution(x=np.zeros(0), objective=0.0, iterations=0)
     a = a_ub if isinstance(a_ub, SparseRows) else SparseRows.from_dense(a_ub)

@@ -154,7 +154,7 @@ class ScenarioRealization:
 
 def steering_vector(angle: float, n: int) -> np.ndarray:
     """ULA spatial response: element k is exp(-j*pi*k*sin(angle)) / sqrt(n)."""
-    if n < 1:
+    if operator.index(n) < 1:  # a float count raises TypeError
         raise ValueError(f"element count must be >= 1, got {n}")
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle}")
@@ -169,7 +169,7 @@ def beamforming_gain(est_angle, true_angle, n: int):
     sin(est) == sin(true) (and at grating repeats where they differ by
     an even integer).  A NaN or infinite angle raises ValueError.
     """
-    if n < 1:
+    if operator.index(n) < 1:  # a float count raises TypeError
         raise ValueError(f"element count must be >= 1, got {n}")
     est = np.asarray(est_angle, dtype=float)
     true = np.asarray(true_angle, dtype=float)

@@ -73,6 +73,19 @@ def test_rejects_bad_bounds():
         lp.solve_lp_max([1.0], [[1.0]], [1.0], [0.0])
 
 
+@pytest.mark.parametrize(
+    "objective, a_ub, upper",
+    [
+        ([1.0, 2.0], [[1.0, 0.0]], [1.0]),  # was "LP is unbounded"
+        ([1.0, 2.0, 3.0], [[1.0, 0.0, 0.0]], [1.0]),  # was an IndexError
+        ([1.0, 2.0], [[1.0, 0.0]], [1.0, 1.0, 1.0]),  # was a broadcast error
+    ],
+)
+def test_rejects_upper_bounds_of_the_wrong_shape(objective, a_ub, upper):
+    with pytest.raises(ValueError, match="upper bounds shape"):
+        lp.solve_lp_max(objective, a_ub, [5.0], upper)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["objective", "a_ub", "b_ub", "triplets"])
 def test_rejects_non_finite_inputs(where, bad):

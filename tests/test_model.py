@@ -38,6 +38,8 @@ def test_steering_vector_rejects_bad_input():
         m.steering_vector(0.0, 0)
     with pytest.raises(ValueError):
         m.steering_vector(math.nan, 4)
+    with pytest.raises(TypeError):  # was 3 elements scaled by 1/sqrt(2.5)
+        m.steering_vector(0.3, 2.5)
 
 
 @given(angles, st.integers(1, 256))
@@ -59,6 +61,13 @@ def test_beamforming_gain_self_is_one(angle, n):
 def test_beamforming_gain_bounds(est, true, n):
     g = m.beamforming_gain(est, true, n)
     assert 0.0 <= g <= 1.0 + 1e-12
+
+
+def test_beamforming_gain_rejects_bad_element_count():
+    with pytest.raises(ValueError):
+        m.beamforming_gain(0.3, 0.3, 0)
+    with pytest.raises(TypeError):  # was 1.44, outside [0, 1]
+        m.beamforming_gain(0.3, 0.3, 2.5)
 
 
 def test_beamforming_gain_orthogonal_two_elements():

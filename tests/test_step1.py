@@ -122,6 +122,92 @@ def test_exact_lexicographic_tie_break():
     assert sol.x.tolist() == [[0, 1]]
 
 
+DESK_CELLS = [(run_id, r_max) for run_id in range(3) for r_max in (0.5e9, 1e9, 2e9, 4e9)]
+
+
+def _desk_cell(run_id, r_max):
+    cfg = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
+    return harness.build_cell_instance(cfg, run_id, r_max)
+
+
+def _milp_step1_optimum(inst):
+    """HiGHS's optimum of the relaxation rows with every variable integral."""
+    opt = pytest.importorskip("scipy.optimize")
+    a_ub, b_ub = step1._relaxation_rows(inst)
+    w = m.weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
+    c_vec = np.concatenate([-w.ravel(), np.ones(inst.n_ue)])
+    ref = opt.milp(
+        -c_vec,
+        constraints=opt.LinearConstraint(np.asarray(a_ub), -np.inf, b_ub),
+        integrality=np.ones(c_vec.size),
+        bounds=opt.Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert ref.status == 0
+    return -ref.fun
+
+
+@pytest.mark.parametrize("run_id, r_max", DESK_CELLS)
+def test_exact_matches_milp_on_desk_cells(run_id, r_max):
+    inst = _desk_cell(run_id, r_max)
+    want = _milp_step1_optimum(inst)
+    got = m.objective_step1(inst, m.solve_step1_exact(inst))
+    assert got == pytest.approx(want, abs=1e-7)
+
+
+def _fractional_knapsack_bound(candidates, n_bc):
+    """The exact search's former bound, kept as the table's reference.
+
+    Each UE offers its top score at its smallest link count, and the
+    offers are packed by score per link into the free chains, the last
+    one fractionally.
+    """
+    n_ue = len(candidates)
+    gain = [c[0][0] if c else 0.0 for c in candidates]
+    demand = [min(len(t[2]) for t in c) if c else 0 for c in candidates]
+    density_suffix = [[] for _ in range(n_ue + 1)]
+    for u in range(n_ue - 1, -1, -1):
+        items = density_suffix[u + 1] + ([(gain[u], demand[u])] if candidates[u] else [])
+        density_suffix[u] = sorted(items, key=lambda t: -t[0] / t[1])
+
+    def knapsack_bound(u, free_count):
+        total, cap = 0.0, free_count
+        for g, d in density_suffix[u]:
+            if cap <= 0:
+                break
+            if d <= cap:
+                total += g
+                cap -= d
+            else:
+                total += g * (cap / d)
+                break
+        return total
+
+    return [[knapsack_bound(u, f) for f in range(n_bc + 1)] for u in range(n_ue + 1)]
+
+
+def _bound_instances():
+    rng = np.random.default_rng(2121)
+    return [random_small_instance(rng) for _ in range(60)] + [
+        _desk_cell(run_id, r_max) for run_id, r_max in DESK_CELLS[::3]
+    ]
+
+
+def test_completion_bound_is_between_the_optimum_and_the_knapsack():
+    # The table never exceeds the fractional knapsack, so the search
+    # visits no node it did not visit before; and its root entry still
+    # bounds the exact optimum, so no optimum is cut.
+    for trial, inst in enumerate(_bound_instances()):
+        w = m.weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
+        candidates = [step1._ue_candidates(inst, w, u) for u in range(inst.n_ue)]
+        n_bc = inst.c.shape[1]
+        table = step1._completion_bound(candidates, n_bc)
+        knapsack = _fractional_knapsack_bound(candidates, n_bc)
+        assert np.all(np.array(table) <= np.array(knapsack) + 1e-9), f"trial {trial}"
+        optimum = m.objective_step1(inst, m.solve_step1_exact(inst))
+        assert table[0][n_bc] >= optimum - 1e-9, f"trial {trial}"
+
+
 # ---------------------------------------------------------------------------
 # LP relaxation
 # ---------------------------------------------------------------------------
