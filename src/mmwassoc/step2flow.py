@@ -19,8 +19,12 @@ capacity block.  A FlowNetwork therefore stores only that block; its
 edges, one record array of dtype EDGE_DTYPE (int64 tail, head and
 capacity, float64 cost), are derived from it on first read, which only
 the tests, the flow oracle and the benchmark's edge counter do.
-solve_step2 keeps building the network and calling solve_min_cost_flow
-because the benchmark's sweep tracing reports both as spans.
+
+The network path serves step 2 only: baselines.max_sum_rate calls
+solve_assignment on the whole capacity matrix.  solve_step2 keeps
+building the network and calling solve_min_cost_flow although only the
+block is needed, because the benchmark's sweep tracing reports both as
+spans and counts the network's edges.
 
 The network has no per-BS budget or per-UE cap layer because neither
 can bind: a BS's leftover budget equals its number of free chains, and
@@ -191,10 +195,11 @@ def solve_min_cost_flow(net: FlowNetwork) -> np.ndarray:
     are never built here.  Pairs with c <= 0 never carry flow: a link
     that gains nothing costs as much as the overflow.
 
-    solve_step2 still goes through build_flow_network and this function
-    although only c is needed, because the benchmark's sweep tracing
-    (bench/trace_sweep.py) reports both calls as spans of their own and
-    counts the network's edges.
+    Only step 2 comes here: solve_step2 still goes through
+    build_flow_network and this function although only c is needed,
+    because the benchmark's sweep tracing (bench/trace_sweep.py) reports
+    both calls as spans of their own and counts the network's edges.
+    max_sum_rate calls solve_assignment directly.
     """
     if not isinstance(net, FlowNetwork):
         raise ValueError("not a step-2 network made by build_flow_network")
@@ -215,10 +220,15 @@ def solve_assignment(c: np.ndarray) -> np.ndarray:
     52(4), 2016), with rows the smaller side of c.  Reduced costs are
     -w[i][j] - u[i] - v[j] with duals u, v.
 
+    A c that is not 2-D, or holds a NaN or +inf, raises ValueError: the
+    search below would never end on such a weight.  An empty c gives an
+    empty x.
+
     Row-reduction start: each row's best column is the one of largest
-    weight, the lowest index among equal weights, and u[i] starts at
-    -max_j w[i][j].  In index order, each row takes its best column if
-    no earlier row holds it.  Every reduced cost then starts at
+    weight, the lowest index among equal weights (numpy's argmax), and
+    u[i] starts at -max_j w[i][j]; one max and one argmax over the rows
+    give both.  In index order, each row takes its best column if no
+    earlier row holds it.  Every reduced cost then starts at
     max_k w[i][k] - w[i][j] >= 0, it is zero on every taken pair, and
     every v is 0.
 
@@ -243,16 +253,21 @@ def solve_assignment(c: np.ndarray) -> np.ndarray:
     The loops run over Python lists: they read one entry at a time, and
     indexing a numpy array boxes a new scalar on every read.
     """
+    if np.ndim(c) != 2:
+        raise ValueError("an assignment needs a 2-D capacity block")
     flip = c.shape[0] > c.shape[1]
     wa = np.maximum(c.T if flip else c, 0.0)
-    w = wa.tolist()
     rows, cols = wa.shape
+    x = np.zeros((rows, cols), dtype=np.int64)
+    if not x.size:
+        return x.T if flip else x
+    top = wa.max(axis=1)  # propagates a NaN
+    if not np.isfinite(top).all():
+        raise ValueError("an assignment needs capacities without NaN or +inf")
+    w = wa.tolist()
     v, row_of, col_of = [0.0] * cols, [-1] * cols, [-1] * rows
-    u, left = [], []
-    for i, wi in enumerate(w):
-        top = max(wi)
-        j = wi.index(top)
-        u.append(-top)
+    u, left = (-top).tolist(), []
+    for i, j in enumerate(wa.argmax(axis=1).tolist()):
         if row_of[j] < 0:
             row_of[j], col_of[i] = i, j
         else:
@@ -288,14 +303,19 @@ def solve_assignment(c: np.ndarray) -> np.ndarray:
             if i == start:
                 break
 
-    x = np.zeros((rows, cols), dtype=np.int64)
     matched = np.arange(rows)
     x[matched, col_of] = wa[matched, col_of] > 0.0
     return x.T if flip else x
 
 
 def solve_step2(res: ResidualInstance) -> AssociationSolution:
-    """Max-sum-rate assignment of the residual, indexed in residual space."""
+    """Max-sum-rate assignment of the residual, indexed in residual space.
+
+    It goes through build_flow_network and solve_min_cost_flow, the
+    network path that only step 2 uses, because the benchmark's sweep
+    tracing reports both as spans; solve_assignment(res.c) gives the
+    same x.
+    """
     n_rows, n_cols = res.c.shape
     x = np.zeros((n_rows, n_cols), dtype=int)
     if res.c.size:

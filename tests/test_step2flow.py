@@ -1,10 +1,12 @@
 import hashlib
+import signal
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment, linprog
@@ -98,12 +100,32 @@ def small_instances(draw):
     return m.make_instance(c, np.full(n_ue, 1e9), n_ue_rf, n_bs_rf)
 
 
+def sampled_cells():
+    """Desk and full.cfg cells of runs 0-1 at r_max 0.5, 1, 2, 4 and 8e9."""
+    for name in ("desk", "full"):
+        cfg = m.ScenarioConfig.from_config_file(CONFIGS / f"{name}.cfg")
+        for run_id in range(2):
+            for r_max in (0.5e9, 1e9, 2e9, 4e9, 8e9):
+                yield harness.build_cell_instance(cfg, run_id, r_max)
+
+
+def with_sampled_cells(test):
+    """Run a hypothesis test of inst on every sampled cell as well."""
+    for inst in sampled_cells():
+        test = example(inst=inst)(test)
+    return test
+
+
+@with_sampled_cells
 @settings(max_examples=200)
 @given(small_instances())
 def test_full_residual_and_max_sum_rate_skip_the_copies_but_not_a_byte(inst):
     # full_residual shares the instance's arrays instead of copying them
-    # with np.ix_, and max_sum_rate returns solve_step2's solution as the
-    # global one instead of completing it again with solution_from_x.
+    # with np.ix_, and max_sum_rate, which solves the assignment on the
+    # whole capacity matrix without the step-2 network, returns what
+    # solve_step2 gives for the full residual, completed by
+    # solution_from_x.  The sampled cells pin continuous capacities, the
+    # drawn instances tied and zero ones.
     res = step2flow.full_residual(inst)
     want = step2flow.make_residual(inst, empty_solution(inst))
     for name in ("c", "ue_chain_ids", "bs_chain_ids", "ue_of_chain"):
@@ -678,6 +700,43 @@ TIE_CASES = {
     "c-at-most-zero": ([[-1.0, 3.0], [2.0, -3.0], [0.0, 3.0]], [[0, 1], [1, 0], [0, 0]]),
     "all-c-at-most-zero": ([[-1.0, 0.0], [0.0, -2.0]], [[0, 0], [0, 0]]),
 }
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once seconds have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_assignment_rejects_nan_inf_and_blocks_not_2d():
+    # The search never ends on a NaN or +inf weight, so a deadline turns
+    # a missing check into a failure instead of a hang.
+    for c in (
+        [[np.nan, 1.0], [2.0, np.nan]],
+        [[np.inf, np.inf], [np.inf, 1.0]],
+        [[1.0, 2.0], [3.0, np.nan], [4.0, 5.0]],  # more rows than columns
+        [[np.nan]],
+    ):
+        with deadline(5.0), pytest.raises(ValueError, match="NaN or \\+inf"):
+            step2flow.solve_assignment(np.array(c))
+    for c in (np.zeros(3), np.zeros((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="2-D"):
+            step2flow.solve_assignment(c)
+    # -inf weighs 0 like any c <= 0, and an empty block has no link.
+    assert step2flow.solve_assignment(np.array([[-np.inf, 1.0]])).tolist() == [[0, 1]]
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        x = step2flow.solve_assignment(np.zeros(shape))
+        assert x.dtype == np.int64 and x.shape == shape
 
 
 def test_assignment_breaks_ties_by_a_free_column_then_the_lowest_index():
