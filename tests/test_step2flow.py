@@ -719,8 +719,8 @@ def deadline(seconds):
 
 
 def test_assignment_rejects_nan_inf_and_blocks_not_2d():
-    # The search never ends on a NaN or +inf weight, so a deadline turns
-    # a missing check into a failure instead of a hang.
+    # The search would never end on a NaN or +inf weight, so a deadline
+    # turns a missing check into a failure instead of a hang.
     for c in (
         [[np.nan, 1.0], [2.0, np.nan]],
         [[np.inf, np.inf], [np.inf, 1.0]],
