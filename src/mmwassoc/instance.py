@@ -140,8 +140,13 @@ def check_feasibility(
     """Audit a candidate solution constraint by constraint.
 
     Violations carry (constraint id, offending index): the BS chain for
-    5b, UE chain for 5c, BS for 5d, UE for 5e/5f.
+    5b, UE chain for 5c, BS for 5d, UE for 5e/5f.  `constraints` is a
+    collection of ids from ALL_CONSTRAINTS; an unknown id, or a bare
+    string (which `in` would match by substring), raises ValueError
+    rather than audit less than asked.
     """
+    if isinstance(constraints, str) or not set(constraints) <= set(ALL_CONSTRAINTS):
+        raise ValueError(f"constraints must be ids from {ALL_CONSTRAINTS}, got {constraints!r}")
     x, z = sol.x, sol.z
     if x.shape != inst.c.shape or z.shape != (inst.n_ue,):
         raise ValueError("solution shape does not match instance")

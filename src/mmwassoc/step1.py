@@ -222,7 +222,7 @@ def round_solution(frac: FractionalSolution, inst: AssociationInstance) -> Assoc
 # ---------------------------------------------------------------------------
 
 
-def _ue_candidates(inst: AssociationInstance, weights: np.ndarray, u: int):
+def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, u: int):
     """Minimal satisfying link sets for UE u, best score first.
 
     A candidate pairs k distinct chains of u with k distinct BS chains
@@ -233,29 +233,31 @@ def _ue_candidates(inst: AssociationInstance, weights: np.ndarray, u: int):
     top-scoring pairings survive (equal-score ties are all kept so the
     lexicographic tie-break stays exact).  Returns (score, bs_mask,
     pairs) tuples.
+
+    c and weights are the capacity and link-weight rows as Python lists,
+    since indexing a numpy array boxes a new scalar on every read.
+    Dropping link d leaves total - caps[d], and IEEE subtraction is
+    monotone, so testing the weakest link tests every d.  The sums add
+    the links in order; CPython 3.12 and later compensate a float sum of
+    three or more terms, which only n_ue_rf > 2 reaches.
     """
-    chains = np.flatnonzero(inst.ue_of_chain == u)
-    r_u = float(inst.rate_req[u])
-    n_bc = inst.c.shape[1]
+    chains = range(u * n_ue_rf, (u + 1) * n_ue_rf)  # the instance's chain layout
     out = []
-    for k in range(1, inst.n_ue_rf + 1):
-        for bs_subset in combinations(range(n_bc), k):
+    for k in range(1, n_ue_rf + 1):
+        for bs_subset in combinations(range(len(c[0])), k):
+            mask = sum(1 << j for j in bs_subset)
             best: list[tuple[float, int, tuple]] = []
             for ue_perm in permutations(chains, k):
                 pairs = tuple(zip(ue_perm, bs_subset))
-                caps = [inst.c[i, j] for i, j in pairs]
-                if sum(caps) < r_u:
-                    continue
-                if k > 1 and any(sum(caps) - caps[d] >= r_u for d in range(k)):
-                    continue  # dominated: a strict subset already satisfies
-                score = 1.0 - sum(weights[i, j] for i, j in pairs)
+                caps = [c[i][j] for i, j in pairs]
+                total = sum(caps)
+                if total < r_u or total - min(caps) >= r_u:
+                    continue  # short, or dominated: a strict subset already satisfies
+                score = 1.0 - sum(weights[i][j] for i, j in pairs)
                 if not best or score > best[0][0]:
-                    mask = 0
-                    for j in bs_subset:
-                        mask |= 1 << j
                     best = [(score, mask, pairs)]
                 elif score == best[0][0]:
-                    best.append((score, best[0][1], pairs))
+                    best.append((score, mask, pairs))
             out.extend(best)
     out.sort(key=lambda t: -t[0])
     return out
@@ -290,9 +292,11 @@ def _solution_pairs(sol: AssociationSolution) -> tuple:
     return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(sol.x)))
 
 
-def _score_of_pairs(inst: AssociationInstance, weights: np.ndarray, pairs) -> float:
-    z = len({int(inst.ue_of_chain[i]) for i, _ in pairs})
-    return z - sum(weights[i, j] for i, j in pairs)
+def _score_of_pairs(weights: list, n_ue_rf: int, pairs) -> float:
+    penalty = 0.0
+    for i, j in pairs:  # in link order on every CPython (see _ue_candidates)
+        penalty += weights[i][j]
+    return len({i // n_ue_rf for i, _ in pairs}) - penalty
 
 
 def solve_step1_exact(
@@ -317,23 +321,28 @@ def solve_step1_exact(
     arrivals are re-explored for that reason).  Raises
     NodeBudgetExceeded (carrying the incumbent) if the tree outgrows
     node_budget.
+
+    The capacities, requirements and link weights are turned into Python
+    lists once per solve, so every score, table entry and search sum is a
+    plain float.  A node's free-chain count, which indexes the table, is
+    n_bc minus the bits set in its used-chain mask.
     """
-    weights = weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
-    n_ue, n_bc = inst.n_ue, inst.c.shape[1]
+    weights = weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf).tolist()
+    c, rate_req = inst.c.tolist(), inst.rate_req.tolist()
+    n_ue, n_bc, n_ue_rf = inst.n_ue, inst.c.shape[1], inst.n_ue_rf
 
     seed = round_solution(solve_step1_lp(inst), inst)
     seed_pairs = _solution_pairs(seed)
-    seed_score = _score_of_pairs(inst, weights, seed_pairs)
+    seed_score = _score_of_pairs(weights, n_ue_rf, seed_pairs)
 
     # Guard before enumerating: candidate generation itself must fit.
     per_ue_candidates = sum(
-        math.comb(n_bc, k) * math.perm(inst.n_ue_rf, k)
-        for k in range(1, inst.n_ue_rf + 1)
+        math.comb(n_bc, k) * math.perm(n_ue_rf, k) for k in range(1, n_ue_rf + 1)
     )
     if per_ue_candidates * n_ue > node_budget:
         raise NodeBudgetExceeded(node_budget, seed)
 
-    candidates = [_ue_candidates(inst, weights, u) for u in range(n_ue)]
+    candidates = [_ue_candidates(c, weights, rate_req[u], n_ue_rf, u) for u in range(n_ue)]
 
     bound = _completion_bound(candidates, n_bc)
 
@@ -352,7 +361,7 @@ def solve_step1_exact(
             x[i, j] = 1
         return solution_from_x(inst, x)
 
-    def dfs(u: int, used_mask: int, free_count: int, score: float) -> None:
+    def dfs(u: int, used_mask: int, score: float) -> None:
         nonlocal best_score, best_pairs, nodes
         nodes += 1
         if nodes > node_budget:
@@ -365,20 +374,21 @@ def solve_step1_exact(
             ):
                 best_pairs = tuple(stack_pairs)
             return
-        if score + bound[u][free_count] < best_score - _TIE_EPS:
+        if score + bound[u][n_bc - used_mask.bit_count()] < best_score - _TIE_EPS:
             return
         key = (u << n_bc) | used_mask
-        if score < state_best.get(key, -np.inf) - _TIE_EPS:
+        seen = state_best.get(key, -math.inf)
+        if score < seen - _TIE_EPS:
             return  # a better prefix already reached this state
-        if score > state_best.get(key, -np.inf):
+        if score > seen:
             state_best[key] = score
         for cand_score, mask, pairs in candidates[u]:
             if mask & used_mask:
                 continue
             stack_pairs.extend(pairs)
-            dfs(u + 1, used_mask | mask, free_count - len(pairs), score + cand_score)
+            dfs(u + 1, used_mask | mask, score + cand_score)
             del stack_pairs[-len(pairs) :]
-        dfs(u + 1, used_mask, free_count, score)  # leave u unassociated
+        dfs(u + 1, used_mask, score)  # leave u unassociated
 
-    dfs(0, 0, n_bc, 0.0)
+    dfs(0, 0, 0.0)
     return best_solution()

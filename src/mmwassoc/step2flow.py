@@ -115,6 +115,8 @@ class FlowNetwork:
 
 def make_residual(inst: AssociationInstance, sol: AssociationSolution) -> ResidualInstance:
     """Strip the chains consumed and UEs associated by a step-1 solution."""
+    if sol.x.shape != inst.c.shape or sol.z.shape != (inst.n_ue,):
+        raise ValueError("solution shape does not match instance")
     free_bs = (sol.x.sum(axis=0) == 0).nonzero()[0]
     na_rows = (sol.z[inst.ue_of_chain] == 0).nonzero()[0]
     return ResidualInstance(

@@ -153,6 +153,21 @@ def test_check_feasibility_rejects_bad_shapes():
         m.check_feasibility(inst, bad)
 
 
+def test_check_feasibility_rejects_unknown_constraint_ids():
+    # UE chain 0 uses two BS chains (5c) and its UE is not flagged (5e).
+    # A misspelt id would audit nothing, and a bare string is matched by
+    # substring, so both must raise instead of reporting feasible.
+    inst = small_instance()
+    x = np.zeros(inst.c.shape, dtype=int)
+    x[0, 0] = x[0, 1] = 1
+    sol = m.AssociationSolution(x=x, z=np.zeros(2, dtype=int), per_ue_rate=np.zeros(2))
+    assert {v[0] for v in m.check_feasibility(inst, sol).violations} == {"5c", "5e"}
+    for constraints in (("5B",), ["5b", "5g"], "5b5c", "5c"):
+        with pytest.raises(ValueError, match="constraints"):
+            m.check_feasibility(inst, sol, constraints)
+    assert not m.check_feasibility(inst, sol, ["5c"]).feasible
+
+
 def _oracle_verdict(inst, x, z):
     """Re-evaluate every constraint with plain loops."""
     n_uc, n_bc = inst.c.shape

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import mmwassoc as m
 from mmwassoc import harness, lp, step1, step2flow
+from mmwassoc.instance import solution_from_x
 
 from conftest import (
     literal_step1_best,
@@ -122,12 +123,64 @@ def test_exact_lexicographic_tie_break():
     assert sol.x.tolist() == [[0, 1]]
 
 
+def _literal_tie_break_x(inst):
+    """Lexicographically smallest binary x among the best-scoring feasible ones.
+
+    Enumerates every binary x as literal_step1_best does, z from links,
+    audited by check_feasibility; only x with at most one link per chain
+    (5b and 5c, which the audit checks too) reach the audit.  Returns the
+    x and how many feasible x score within 1e-12 of the best.
+    """
+    n_uc, n_bc = inst.c.shape
+    n_links = n_uc * n_bc
+    bits = (np.arange(1 << n_links)[:, None] >> np.arange(n_links)) & 1
+    xs = bits.reshape(-1, n_uc, n_bc)
+    matchings = xs[(xs.sum(axis=1) <= 1).all(axis=1) & (xs.sum(axis=2) <= 1).all(axis=1)]
+    scored = []
+    for x in matchings:
+        sol = solution_from_x(inst, x)
+        if m.check_feasibility(inst, sol).feasible:
+            scored.append((m.objective_step1(inst, sol), tuple(x.ravel())))
+    best = max(score for score, _ in scored)
+    tied = sorted(flat for score, flat in scored if score >= best - 1e-12)
+    return np.array(tied[0]).reshape(n_uc, n_bc), len(tied)
+
+
+def test_exact_tie_break_on_instances_with_ties():
+    # Capacities and requirements on a 1e9 grid give many equal-score
+    # optima; the search must return the lexicographically smallest x.
+    rng = np.random.default_rng(2323)
+    n_tied = 0
+    for trial in range(150):
+        n_ue = int(rng.integers(1, 4))
+        n_bs_rf = int(rng.integers(1, 3))
+        n_bs = int(rng.integers(1, 12 // (2 * n_ue) // n_bs_rf + 1))  # <= 12 links
+        c = rng.integers(0, 4, size=(2 * n_ue, n_bs * n_bs_rf)) * 1e9
+        inst = m.make_instance(c, rng.integers(1, 4, size=n_ue) * 1e9, 2, n_bs_rf)
+        want, ties = _literal_tie_break_x(inst)
+        n_tied += ties > 1
+        assert m.solve_step1_exact(inst).x.tolist() == want.tolist(), f"trial {trial}"
+    assert n_tied >= 50  # the ties the test is about do occur
+
+
 DESK_CELLS = [(run_id, r_max) for run_id in range(3) for r_max in (0.5e9, 1e9, 2e9, 4e9)]
 
 
 def _desk_cell(run_id, r_max):
     cfg = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
     return harness.build_cell_instance(cfg, run_id, r_max)
+
+
+@pytest.mark.parametrize("run_id, r_max, nodes", [(1, 2e9, 50_413), (2, 0.5e9, 6_449)])
+def test_exact_node_count_pins(run_id, r_max, nodes):
+    # The search visits exactly `nodes` nodes: it finishes within that
+    # budget and overruns one below it.  Both pins lie above the 2,400
+    # candidates of a desk cell, so the overrun is the search's and not
+    # the pre-guard's.
+    inst = _desk_cell(run_id, r_max)
+    m.solve_step1_exact(inst, node_budget=nodes)
+    with pytest.raises(step1.NodeBudgetExceeded):
+        m.solve_step1_exact(inst, node_budget=nodes - 1)
 
 
 def _milp_step1_optimum(inst):
@@ -199,7 +252,10 @@ def test_completion_bound_is_between_the_optimum_and_the_knapsack():
     # bounds the exact optimum, so no optimum is cut.
     for trial, inst in enumerate(_bound_instances()):
         w = m.weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
-        candidates = [step1._ue_candidates(inst, w, u) for u in range(inst.n_ue)]
+        c, w, r = inst.c.tolist(), w.tolist(), inst.rate_req.tolist()
+        candidates = [
+            step1._ue_candidates(c, w, r[u], inst.n_ue_rf, u) for u in range(inst.n_ue)
+        ]
         n_bc = inst.c.shape[1]
         table = step1._completion_bound(candidates, n_bc)
         knapsack = _fractional_knapsack_bound(candidates, n_bc)

@@ -72,6 +72,22 @@ def test_make_residual_strips_used_resources():
     np.testing.assert_array_equal(res.c, c[np.ix_([2, 3], [0, 2])])
 
 
+def test_make_residual_rejects_a_solution_of_another_shape():
+    # One BS chain too few would silently keep the last chain out of the
+    # residual, and a z of the wrong length would be read without complaint.
+    c = np.arange(12, dtype=float).reshape(4, 3) * 1e8 + 1e8
+    inst = m.make_instance(c, np.array([1e9, 1e9]), n_ue_rf=2, n_bs_rf=3)
+    x = np.zeros((4, 3), dtype=int)
+    x[0, 0] = 1
+    sol = solution_from_x(inst, x)
+    narrow = m.AssociationSolution(x=x[:, :2], z=sol.z, per_ue_rate=sol.per_ue_rate)
+    long_z = m.AssociationSolution(x=x, z=np.append(sol.z, 0), per_ue_rate=sol.per_ue_rate)
+    for bad in (narrow, long_z):
+        with pytest.raises(ValueError, match="shape"):
+            step2flow.make_residual(inst, bad)
+    np.testing.assert_array_equal(step2flow.make_residual(inst, sol).bs_chain_ids, [1, 2])
+
+
 def test_full_residual_covers_everything():
     c = np.ones((4, 6))
     inst = m.make_instance(c, np.array([1.0, 1.0]), n_ue_rf=2, n_bs_rf=3)
