@@ -26,9 +26,6 @@ from . import harness, step1
 from .instance import instance_from_dict, solution_to_dict
 from .model import ScenarioConfig
 
-DEFAULT_SCHEMES = "two-step-proposed,max-sum-rate,max-snr"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mmwassoc")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -37,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="scenario config file (key = value)")
     sim.add_argument(
         "--schemes",
-        default=DEFAULT_SCHEMES,
+        default=",".join(harness.ExperimentSpec.schemes),
         help=f"comma-separated subset of {', '.join(harness.SCHEMES)}",
     )
     sim.add_argument("--runs", type=int, default=harness.ExperimentSpec.n_runs)

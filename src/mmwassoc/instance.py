@@ -132,6 +132,13 @@ def empty_solution(inst: AssociationInstance) -> AssociationSolution:
     return solution_from_x(inst, np.zeros(inst.c.shape, dtype=int))
 
 
+def _check_shape(inst: AssociationInstance, sol: AssociationSolution) -> None:
+    """Reject a solution whose x or z does not have the instance's shape,
+    which numpy would otherwise broadcast silently."""
+    if sol.x.shape != inst.c.shape or sol.z.shape != (inst.n_ue,):
+        raise ValueError("solution shape does not match instance")
+
+
 def check_feasibility(
     inst: AssociationInstance,
     sol: AssociationSolution,
@@ -147,9 +154,8 @@ def check_feasibility(
     """
     if isinstance(constraints, str) or not set(constraints) <= set(ALL_CONSTRAINTS):
         raise ValueError(f"constraints must be ids from {ALL_CONSTRAINTS}, got {constraints!r}")
+    _check_shape(inst, sol)
     x, z = sol.x, sol.z
-    if x.shape != inst.c.shape or z.shape != (inst.n_ue,):
-        raise ValueError("solution shape does not match instance")
     if not np.isin(x, (0, 1)).all() or not np.isin(z, (0, 1)).all():
         raise ValueError("x and z must be binary")
 
@@ -197,14 +203,20 @@ def objective_step1(inst: AssociationInstance, sol: AssociationSolution) -> floa
     """Association score: sum(z) minus the weight_term of every active link.
 
     Associating is always worth more than the chains it spends, and
-    higher-capacity links cost less.
+    higher-capacity links cost less.  A solution of the wrong shape
+    raises ValueError.
     """
+    _check_shape(inst, sol)
     weights = weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
     return float(sol.z.sum() - (sol.x * weights).sum())
 
 
 def metrics(inst: AssociationInstance, sol: AssociationSolution) -> SolutionMetrics:
-    """Associated/satisfied UE counts and network sum rate, all from x."""
+    """Associated/satisfied UE counts and network sum rate, all from x.
+
+    A solution of the wrong shape raises ValueError.
+    """
+    _check_shape(inst, sol)
     rates = (sol.x * inst.c).sum(axis=1)
     return SolutionMetrics(
         n_associated=int((_per_ue(inst, sol.x.sum(axis=1)) > 0).sum()),

@@ -10,9 +10,10 @@ single-path channel; its capacity is
 
 where g is the device-pair path gain, Na_* the per-chain antenna counts,
 and G_* in [0, 1] the beamforming gains lost to imperfect angle
-estimates.  `split` is the transmit-power division across BS RF chains:
-the square of the chain count in the default "as-printed" mode, the
-chain count itself in "per-chain" mode.
+estimates.  `split` is the transmit-power division across BS RF chains,
+n_bs_rf ** 2 as the paper prints it.  It is not configurable: a config
+file that still names the former power_split_mode key is refused, like
+any unknown key (the CLI exits with status 2).
 
 All randomness is drawn from PCG64 generators seeded by splitting
 ``SeedSequence(cfg.seed)`` into one child stream per sampled quantity
@@ -37,8 +38,6 @@ import numpy as np
 DISTANCE_FLOOR_M = 1.0
 
 _RNG_STREAMS = ("ue_pos", "rate", "true_aoa", "true_aod", "err_aoa", "err_aod")
-
-POWER_SPLIT_MODES = ("as-printed", "per-chain")
 
 # Parser of each field type annotation of the flat dataclasses read from text.
 FIELD_PARSERS = {"int": int, "float": float, "str": str}
@@ -70,7 +69,6 @@ class ScenarioConfig:
     sigma_aod_deg: float = 1.0
     sigma_aoa_deg: float = 3.0
     seed: int = 0
-    power_split_mode: str = "as-printed"
 
     def __post_init__(self) -> None:
         for name in ("n_bs", "n_ue", "n_bs_rf", "n_ue_rf", "n_bs_ant", "n_ue_ant"):
@@ -90,8 +88,6 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if operator.index(self.seed) < 0:  # a float seed raises TypeError
             raise ValueError("seed must be a non-negative integer")
-        if self.power_split_mode not in POWER_SPLIT_MODES:
-            raise ValueError(f"power_split_mode must be one of {POWER_SPLIT_MODES}")
 
     @property
     def n_ue_chains(self) -> int:
@@ -208,9 +204,8 @@ def link_capacity(path_gain, gain_ue, gain_bs, cfg: ScenarioConfig):
             raise ValueError(f"{name} must be >= 0")
     p_mw = 10.0 ** (cfg.tx_power_dbm / 10.0)
     n0_mw_hz = 10.0 ** (cfg.noise_psd_dbm_hz / 10.0)
-    split = cfg.n_bs_rf**2 if cfg.power_split_mode == "as-printed" else cfg.n_bs_rf
     snr = (
-        (p_mw / split)
+        (p_mw / cfg.n_bs_rf**2)
         * np.asarray(path_gain, dtype=float)
         * cfg.n_ue_ant
         * cfg.n_bs_ant

@@ -222,7 +222,7 @@ def round_solution(frac: FractionalSolution, inst: AssociationInstance) -> Assoc
 # ---------------------------------------------------------------------------
 
 
-def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, u: int):
+def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, n_bc: int, u: int):
     """Minimal satisfying link sets for UE u, best score first.
 
     A candidate pairs k distinct chains of u with k distinct BS chains
@@ -232,32 +232,33 @@ def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, u: int):
     the subset always scores higher), and for each BS-chain set only the
     top-scoring pairings survive (equal-score ties are all kept so the
     lexicographic tie-break stays exact).  Returns (score, bs_mask,
-    pairs) tuples.
+    links) tuples, each link (i, j) as its flat index i * n_bc + j in x.
 
-    c and weights are the capacity and link-weight rows as Python lists,
-    since indexing a numpy array boxes a new scalar on every read.
-    Dropping link d leaves total - caps[d], and IEEE subtraction is
-    monotone, so testing the weakest link tests every d.  The sums add
-    the links in order; CPython 3.12 and later compensate a float sum of
-    three or more terms, which only n_ue_rf > 2 reaches.
+    c and weights are the capacities and link weights as flat row-major
+    Python lists, since indexing a numpy array boxes a new scalar on
+    every read.  Dropping link d leaves total - caps[d], and IEEE
+    subtraction is monotone, so testing the weakest link tests every d.
+    The sums add the links in order; CPython 3.12 and later compensate a
+    float sum of three or more terms, which only n_ue_rf > 2 reaches.
     """
-    chains = range(u * n_ue_rf, (u + 1) * n_ue_rf)  # the instance's chain layout
+    # The instance's chain layout: UE u's chains are rows u * n_ue_rf onwards.
+    rows = range(u * n_ue_rf * n_bc, (u + 1) * n_ue_rf * n_bc, n_bc)
     out = []
     for k in range(1, n_ue_rf + 1):
-        for bs_subset in combinations(range(len(c[0])), k):
+        for bs_subset in combinations(range(n_bc), k):
             mask = sum(1 << j for j in bs_subset)
             best: list[tuple[float, int, tuple]] = []
-            for ue_perm in permutations(chains, k):
-                pairs = tuple(zip(ue_perm, bs_subset))
-                caps = [c[i][j] for i, j in pairs]
+            for row_perm in permutations(rows, k):
+                links = tuple(r + j for r, j in zip(row_perm, bs_subset))
+                caps = [c[f] for f in links]
                 total = sum(caps)
                 if total < r_u or total - min(caps) >= r_u:
                     continue  # short, or dominated: a strict subset already satisfies
-                score = 1.0 - sum(weights[i][j] for i, j in pairs)
+                score = 1.0 - sum(weights[f] for f in links)
                 if not best or score > best[0][0]:
-                    best = [(score, mask, pairs)]
+                    best = [(score, mask, links)]
                 elif score == best[0][0]:
-                    best.append((score, mask, pairs))
+                    best.append((score, mask, links))
             out.extend(best)
     out.sort(key=lambda t: -t[0])
     return out
@@ -270,7 +271,7 @@ def _completion_bound(candidates: list, n_bc: int) -> list[list[float]]:
     for cands in reversed(candidates):
         rest, row = table[-1], table[-1][:]
         # cands run best first, so reversed the best of each size is written last.
-        best_k = {len(pairs): score for score, _, pairs in reversed(cands)}
+        best_k = {len(links): score for score, _, links in reversed(cands)}
         for k, score in best_k.items():
             for f in range(k, n_bc + 1):
                 row[f] = max(row[f], score + rest[f - k])
@@ -278,25 +279,15 @@ def _completion_bound(candidates: list, n_bc: int) -> list[list[float]]:
     return table[::-1]
 
 
-def _lex_less(pairs_a, pairs_b, n_bc: int) -> bool:
-    """True if the binary matrix of pairs_a is lexicographically smaller."""
-    ones_a = sorted(i * n_bc + j for i, j in pairs_a)
-    ones_b = sorted(i * n_bc + j for i, j in pairs_b)
-    for a, b in zip(ones_a, ones_b):
-        if a != b:
-            return a > b  # later first one == zero earlier == lex smaller
-    return len(ones_a) < len(ones_b)
+def _lex_less(links_a, links_b) -> bool:
+    """True if the binary matrix with ones at flat indices links_a is
+    lexicographically smaller than that of links_b.
 
-
-def _solution_pairs(sol: AssociationSolution) -> tuple:
-    return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(sol.x)))
-
-
-def _score_of_pairs(weights: list, n_ue_rf: int, pairs) -> float:
-    penalty = 0.0
-    for i, j in pairs:  # in link order on every CPython (see _ue_candidates)
-        penalty += weights[i][j]
-    return len({i // n_ue_rf for i, _ in pairs}) - penalty
+    At the first sorted index where the two differ, the later one marks
+    the smaller matrix: the other has a one where it has a zero.  A
+    strict prefix is smaller, since the longer set adds ones after it.
+    """
+    return [-f for f in sorted(links_a)] < [-f for f in sorted(links_b)]
 
 
 def solve_step1_exact(
@@ -322,18 +313,25 @@ def solve_step1_exact(
     NodeBudgetExceeded (carrying the incumbent) if the tree outgrows
     node_budget.
 
-    The capacities, requirements and link weights are turned into Python
-    lists once per solve, so every score, table entry and search sum is a
-    plain float.  A node's free-chain count, which indexes the table, is
+    The capacities and link weights are read once per solve as flat
+    row-major Python lists, so every score, table entry and search sum
+    is a plain float.  Throughout the search a link (i, j) is its flat
+    index i * n_bc + j in x: candidates, the stack of links and the
+    incumbent hold ints, and the incumbent's x is written in one
+    assignment.  A node's free-chain count, which indexes the table, is
     n_bc minus the bits set in its used-chain mask.
     """
-    weights = weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf).tolist()
-    c, rate_req = inst.c.tolist(), inst.rate_req.tolist()
     n_ue, n_bc, n_ue_rf = inst.n_ue, inst.c.shape[1], inst.n_ue_rf
+    # Link f belongs to UE f // (n_ue_rf * n_bc).
+    weights = weight_term(inst.c.ravel(), inst.rate_req.repeat(n_ue_rf * n_bc), n_ue_rf).tolist()
+    c, rate_req = inst.c.ravel().tolist(), inst.rate_req.tolist()
 
     seed = round_solution(solve_step1_lp(inst), inst)
-    seed_pairs = _solution_pairs(seed)
-    seed_score = _score_of_pairs(weights, n_ue_rf, seed_pairs)
+    seed_links = tuple(np.flatnonzero(seed.x).tolist())
+    penalty = 0.0
+    for f in seed_links:  # in x's row-major order on every CPython (see _ue_candidates)
+        penalty += weights[f]
+    seed_score = len({f // n_bc // n_ue_rf for f in seed_links}) - penalty
 
     # Guard before enumerating: candidate generation itself must fit.
     per_ue_candidates = sum(
@@ -342,37 +340,34 @@ def solve_step1_exact(
     if per_ue_candidates * n_ue > node_budget:
         raise NodeBudgetExceeded(node_budget, seed)
 
-    candidates = [_ue_candidates(c, weights, rate_req[u], n_ue_rf, u) for u in range(n_ue)]
+    candidates = [_ue_candidates(c, weights, r, n_ue_rf, n_bc, u) for u, r in enumerate(rate_req)]
 
     bound = _completion_bound(candidates, n_bc)
 
     best_score = 0.0
-    best_pairs: tuple = ()
+    best_links: tuple = ()
     if seed_score > best_score + _TIE_EPS:
-        best_score, best_pairs = seed_score, seed_pairs
+        best_score, best_links = seed_score, seed_links
 
     nodes = 0
-    stack_pairs: list = []
+    stack: list[int] = []
     state_best: dict[int, float] = {}
 
     def best_solution() -> AssociationSolution:
-        x = np.zeros(inst.c.shape, dtype=int)
-        for i, j in best_pairs:
-            x[i, j] = 1
-        return solution_from_x(inst, x)
+        x = np.zeros(inst.c.size, dtype=int)
+        x[list(best_links)] = 1
+        return solution_from_x(inst, x.reshape(inst.c.shape))
 
     def dfs(u: int, used_mask: int, score: float) -> None:
-        nonlocal best_score, best_pairs, nodes
+        nonlocal best_score, best_links, nodes
         nodes += 1
         if nodes > node_budget:
             raise NodeBudgetExceeded(node_budget, best_solution())
         if u == n_ue:
             if score > best_score + _TIE_EPS:
-                best_score, best_pairs = score, tuple(stack_pairs)
-            elif score > best_score - _TIE_EPS and _lex_less(
-                stack_pairs, best_pairs, n_bc
-            ):
-                best_pairs = tuple(stack_pairs)
+                best_score, best_links = score, tuple(stack)
+            elif score > best_score - _TIE_EPS and _lex_less(stack, best_links):
+                best_links = tuple(stack)
             return
         if score + bound[u][n_bc - used_mask.bit_count()] < best_score - _TIE_EPS:
             return
@@ -382,12 +377,12 @@ def solve_step1_exact(
             return  # a better prefix already reached this state
         if score > seen:
             state_best[key] = score
-        for cand_score, mask, pairs in candidates[u]:
+        for cand_score, mask, links in candidates[u]:
             if mask & used_mask:
                 continue
-            stack_pairs.extend(pairs)
+            stack.extend(links)
             dfs(u + 1, used_mask | mask, score + cand_score)
-            del stack_pairs[-len(pairs) :]
+            del stack[-len(links) :]
         dfs(u + 1, used_mask, score)  # leave u unassociated
 
     dfs(0, 0, 0.0)

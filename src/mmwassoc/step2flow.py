@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .instance import AssociationInstance, AssociationSolution
+from .instance import AssociationInstance, AssociationSolution, _check_shape, empty_solution
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +115,7 @@ class FlowNetwork:
 
 def make_residual(inst: AssociationInstance, sol: AssociationSolution) -> ResidualInstance:
     """Strip the chains consumed and UEs associated by a step-1 solution."""
-    if sol.x.shape != inst.c.shape or sol.z.shape != (inst.n_ue,):
-        raise ValueError("solution shape does not match instance")
+    _check_shape(inst, sol)
     free_bs = (sol.x.sum(axis=0) == 0).nonzero()[0]
     na_rows = (sol.z[inst.ue_of_chain] == 0).nonzero()[0]
     return ResidualInstance(
@@ -128,25 +127,8 @@ def make_residual(inst: AssociationInstance, sol: AssociationSolution) -> Residu
 
 
 def full_residual(inst: AssociationInstance) -> ResidualInstance:
-    """The whole instance treated as leftover (no UE associated yet).
-
-    Equal, field by field, to make_residual(inst, empty_solution(inst)),
-    but it shares the instance's capacity matrix and UE map through
-    read-only views instead of copying them with np.ix_.
-    """
-    n_uc, n_bc = inst.c.shape
-    return ResidualInstance(
-        c=_read_only(inst.c),
-        ue_chain_ids=np.arange(n_uc),
-        bs_chain_ids=np.arange(n_bc),
-        ue_of_chain=_read_only(inst.ue_of_chain),
-    )
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
+    """The whole instance treated as leftover (no UE associated yet)."""
+    return make_residual(inst, empty_solution(inst))
 
 
 def _edges(c: np.ndarray) -> np.ndarray:

@@ -149,6 +149,20 @@ def test_spec_rejects_nonfinite_sweep_values():
             tiny_spec(r_max_sweep=(1e9, bad))
 
 
+def test_spec_and_cli_default_to_the_polynomial_schemes(tmp_path, monkeypatch):
+    # The exact search is opt-in: on full.cfg every cell of a default
+    # spec would run it and exhaust its node budget.
+    polynomial = ("two-step-proposed", "max-sum-rate", "max-snr")
+    assert harness.ExperimentSpec(base=DESK).schemes == polynomial
+    specs = []
+    monkeypatch.setattr(harness, "run_experiment", lambda spec: specs.append(spec) or [])
+    monkeypatch.setattr(harness, "emit_results", lambda records, out, fmt: (out, out))
+    cfg_path = tmp_path / "desk.cfg"
+    DESK.to_config_file(cfg_path)
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert specs[0].schemes == polynomial
+
+
 def test_run_experiment_record_grid():
     records = harness.run_experiment(tiny_spec())
     assert len(records) == 2 * 2 * 2
@@ -521,6 +535,19 @@ def test_cli_simulate_repeated_config_key_exits_2_with_one_error_line(tmp_path, 
     assert cli.main(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "repeated key 'n_ue'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_former_power_split_key_exits_2_with_one_error_line(tmp_path, capsys):
+    # The power split is n_bs_rf ** 2, as the paper prints it; a config
+    # that still names the knob it once had is refused like any unknown key.
+    cfg_path = tmp_path / "desk.cfg"
+    replace(DESK, n_ue=4).to_config_file(cfg_path)
+    cfg_path.write_text(cfg_path.read_text() + "power_split_mode = as-printed\n")
+    args = ["simulate", "--config", str(cfg_path), "--runs", "1", "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "unknown key 'power_split_mode'" in err[0]
     assert not (tmp_path / "out").exists()
 
 

@@ -284,6 +284,22 @@ def test_metrics_satisfied_and_unsatisfied():
     assert got.sum_rate_bps == pytest.approx(0.2e9)
 
 
+def test_metrics_and_objective_reject_a_solution_of_another_shape():
+    # numpy would broadcast a one-column x over every BS chain and count
+    # links that do not exist, and would sum a z of the wrong length.
+    inst = small_instance()
+    sol = empty_solution(inst)
+    one_column = m.AssociationSolution(
+        x=np.ones((4, 1), dtype=int), z=sol.z, per_ue_rate=sol.per_ue_rate
+    )
+    long_z = m.AssociationSolution(x=sol.x, z=np.ones(3, dtype=int), per_ue_rate=sol.per_ue_rate)
+    for bad in (one_column, long_z):
+        for fn in (m.metrics, m.objective_step1):
+            with pytest.raises(ValueError, match="shape"):
+                fn(inst, bad)
+    assert m.metrics(inst, sol).n_associated == 0 and m.objective_step1(inst, sol) == 0.0
+
+
 @given(st.integers(0, 10_000))
 def test_flagged_ues_are_satisfied_in_feasible_solutions(seed):
     rng = np.random.default_rng(seed)

@@ -167,14 +167,6 @@ def test_link_capacity_reference_chain():
     assert got == pytest.approx(1844123508.9815361, rel=1e-12)
 
 
-def test_link_capacity_power_split_modes():
-    cfg = m.ScenarioConfig(power_split_mode="per-chain")
-    base = m.ScenarioConfig()
-    g = 1e-10
-    # per-chain splits by n_bs_rf instead of its square: higher SNR.
-    assert m.link_capacity(g, 1.0, 1.0, cfg) > m.link_capacity(g, 1.0, 1.0, base)
-
-
 @given(st.floats(0, 1e-8), st.floats(0, 1e-8))
 def test_link_capacity_monotone_in_path_gain(g1, g2):
     cfg = m.ScenarioConfig()
@@ -210,8 +202,6 @@ def test_config_validation():
         m.ScenarioConfig(r_min_bps=2e9, r_max_bps=1e9)
     with pytest.raises(ValueError):
         m.ScenarioConfig(sigma_aoa_deg=-1.0)
-    with pytest.raises(ValueError):
-        m.ScenarioConfig(power_split_mode="nonsense")
     # A float count would pass the range check and fail only in sampling.
     for name in ("n_bs", "n_ue", "n_bs_rf", "n_ue_rf", "n_bs_ant", "n_ue_ant"):
         with pytest.raises(TypeError):

@@ -163,6 +163,33 @@ def test_exact_tie_break_on_instances_with_ties():
     assert n_tied >= 50  # the ties the test is about do occur
 
 
+def test_lex_less_is_the_order_of_the_dense_matrices():
+    # The search compares tied link sets by their flat indices.  That must
+    # be the row-major order of the 0/1 matrices, also for equal sets and
+    # for a set that is a strict prefix of the other in sorted order, which
+    # the tie tests above may never reach.
+    rng = np.random.default_rng(2425)
+    shape = (3, 4)
+    kinds = {"drawn": 0, "equal": 0, "prefix": 0}
+    for _ in range(600):
+        a = rng.choice(12, size=int(rng.integers(0, 7)), replace=False).tolist()
+        kind = list(kinds)[int(rng.integers(3))]
+        if kind == "drawn":
+            b = rng.choice(12, size=int(rng.integers(0, 7)), replace=False).tolist()
+        elif kind == "equal":
+            b = rng.permutation(a).tolist()
+        else:
+            b = sorted(a)[: int(rng.integers(0, len(a) + 1))]
+            kind = "prefix" if len(b) < len(a) else "equal"
+        kinds[kind] += 1
+        xa, xb = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
+        xa.ravel()[a] = 1
+        xb.ravel()[b] = 1
+        assert step1._lex_less(a, b) == (tuple(xa.ravel()) < tuple(xb.ravel())), (a, b)
+        assert step1._lex_less(b, a) == (tuple(xb.ravel()) < tuple(xa.ravel())), (a, b)
+    assert min(kinds.values()) >= 100, kinds
+
+
 DESK_CELLS = [(run_id, r_max) for run_id in range(3) for r_max in (0.5e9, 1e9, 2e9, 4e9)]
 
 
@@ -252,11 +279,11 @@ def test_completion_bound_is_between_the_optimum_and_the_knapsack():
     # bounds the exact optimum, so no optimum is cut.
     for trial, inst in enumerate(_bound_instances()):
         w = m.weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
-        c, w, r = inst.c.tolist(), w.tolist(), inst.rate_req.tolist()
-        candidates = [
-            step1._ue_candidates(c, w, r[u], inst.n_ue_rf, u) for u in range(inst.n_ue)
-        ]
+        c, w, r = inst.c.ravel().tolist(), w.ravel().tolist(), inst.rate_req.tolist()
         n_bc = inst.c.shape[1]
+        candidates = [
+            step1._ue_candidates(c, w, r[u], inst.n_ue_rf, n_bc, u) for u in range(inst.n_ue)
+        ]
         table = step1._completion_bound(candidates, n_bc)
         knapsack = _fractional_knapsack_bound(candidates, n_bc)
         assert np.all(np.array(table) <= np.array(knapsack) + 1e-9), f"trial {trial}"

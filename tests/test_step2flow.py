@@ -136,17 +136,16 @@ def with_sampled_cells(test):
 @settings(max_examples=200)
 @given(small_instances())
 def test_full_residual_and_max_sum_rate_skip_the_copies_but_not_a_byte(inst):
-    # full_residual shares the instance's arrays instead of copying them
-    # with np.ix_, and max_sum_rate, which solves the assignment on the
-    # whole capacity matrix without the step-2 network, returns what
-    # solve_step2 gives for the full residual, completed by
-    # solution_from_x.  The sampled cells pin continuous capacities, the
-    # drawn instances tied and zero ones.
+    # full_residual is the residual of the empty solution, and
+    # max_sum_rate, which solves the assignment on the whole capacity
+    # matrix without the step-2 network, returns what solve_step2 gives
+    # for the full residual, completed by solution_from_x.  The sampled
+    # cells pin continuous capacities, the drawn instances tied and zero
+    # ones.
     res = step2flow.full_residual(inst)
     want = step2flow.make_residual(inst, empty_solution(inst))
     for name in ("c", "ue_chain_ids", "bs_chain_ids", "ue_of_chain"):
         assert_same_bytes(getattr(res, name), getattr(want, name))
-    assert not res.c.flags.writeable and not res.ue_of_chain.flags.writeable
     got = m.max_sum_rate(inst)
     completed = solution_from_x(inst, step2flow.solve_step2(res).x)
     for name in ("x", "z", "per_ue_rate"):
