@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import add
 
 import numpy as np
 
@@ -249,7 +250,7 @@ def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, n_bc: int, 
             mask = sum(1 << j for j in bs_subset)
             best: list[tuple[float, int, tuple]] = []
             for row_perm in permutations(rows, k):
-                links = tuple(r + j for r, j in zip(row_perm, bs_subset))
+                links = tuple(map(add, row_perm, bs_subset))
                 caps = [c[f] for f in links]
                 total = sum(caps)
                 if total < r_u or total - min(caps) >= r_u:
