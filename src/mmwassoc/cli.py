@@ -26,6 +26,7 @@ from . import harness, step1
 from .instance import instance_from_dict, solution_to_dict
 from .model import ScenarioConfig
 
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mmwassoc")
     sub = parser.add_subparsers(dest="command", required=True)
