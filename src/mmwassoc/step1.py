@@ -242,7 +242,7 @@ def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, n_bc: int, 
     The sums add the links in order; CPython 3.12 and later compensate a
     float sum of three or more terms, which only n_ue_rf > 2 reaches.
     """
-    # The instance's chain layout: UE u's chains are rows u * n_ue_rf onwards.
+    # Flat offsets i * n_bc of UE u's chains i, from the instance's chain layout.
     rows = range(u * n_ue_rf * n_bc, (u + 1) * n_ue_rf * n_bc, n_bc)
     out = []
     for k in range(1, n_ue_rf + 1):
