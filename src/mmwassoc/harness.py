@@ -103,12 +103,15 @@ def merge_solutions(
     """Overlay the residual-space assignment onto the step-1 one.
 
     The merged z flags every UE with a link from either step; UEs served
-    only in step 2 are associated without a rate promise.
+    only in step 2 are associated without a rate promise.  A step-2 x
+    that does not have the shape of res.c raises ValueError, where numpy
+    would broadcast it over the block.
     """
+    if second_local.x.shape != res.c.shape:
+        raise ValueError(f"step-2 x shape {second_local.x.shape} != residual {res.c.shape}")
     x = first.x.copy()
-    if second_local.x.size:
-        block = res.ue_chain_ids[:, None], res.bs_chain_ids
-        x[block] = x[block] | second_local.x
+    block = res.ue_chain_ids[:, None], res.bs_chain_ids
+    x[block] = x[block] | second_local.x
     return solution_from_x(inst, x)
 
 

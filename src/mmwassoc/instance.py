@@ -144,41 +144,37 @@ def check_feasibility(
     sol: AssociationSolution,
     constraints=ALL_CONSTRAINTS,
 ) -> FeasibilityReport:
-    """Audit a candidate solution constraint by constraint.
+    """Audit a candidate solution against the named constraints.
 
-    Violations carry (constraint id, offending index): the BS chain for
-    5b, UE chain for 5c, BS for 5d, UE for 5e/5f.  `constraints` is a
-    collection of ids from ALL_CONSTRAINTS; an unknown id, or a bare
-    string (which `in` would match by substring), raises ValueError
-    rather than audit less than asked.
+    One violation mask is built per constraint id, from x's column sums
+    (5b, 5d), its row sums (5c, 5e) and the per-UE rates (5f), each sum
+    taken once.  Violations carry (constraint id, offending index), in
+    ALL_CONSTRAINTS order: the BS chain for 5b, UE chain for 5c, BS for
+    5d, UE for 5e/5f.  `constraints` is a collection of ids from
+    ALL_CONSTRAINTS; an unknown id, or a bare string (which `in` would
+    match by substring), raises ValueError rather than audit less than
+    asked.  So do an x or z of the wrong shape, and an entry of either
+    that is not 0 or 1 (NaN included).
     """
-    if isinstance(constraints, str) or not set(constraints) <= set(ALL_CONSTRAINTS):
+    wanted = set(constraints)
+    if isinstance(constraints, str) or not wanted <= set(ALL_CONSTRAINTS):
         raise ValueError(f"constraints must be ids from {ALL_CONSTRAINTS}, got {constraints!r}")
     _check_shape(inst, sol)
     x, z = sol.x, sol.z
-    if not np.isin(x, (0, 1)).all() or not np.isin(z, (0, 1)).all():
+    if not (((x == 0) | (x == 1)).all() and ((z == 0) | (z == 1)).all()):
         raise ValueError("x and z must be binary")
 
-    violations: list[tuple[str, int]] = []
-    chains_per_ue = _per_ue(inst, x.sum(axis=1))
-    if "5b" in constraints:
-        for j in (x.sum(axis=0) > 1).nonzero()[0]:
-            violations.append(("5b", int(j)))
-    if "5c" in constraints:
-        for i in (x.sum(axis=1) > 1).nonzero()[0]:
-            violations.append(("5c", int(i)))
-    if "5d" in constraints:
-        per_bs = np.bincount(inst.bs_of_chain, weights=x.sum(axis=0), minlength=inst.n_bs)
-        for b in (per_bs > inst.n_bs_rf).nonzero()[0]:
-            violations.append(("5d", int(b)))
-    if "5e" in constraints:
-        for u in (chains_per_ue > z * inst.n_ue_rf).nonzero()[0]:
-            violations.append(("5e", int(u)))
-    if "5f" in constraints:
-        per_ue = _per_ue(inst, (x * inst.c).sum(axis=1))
-        for u in (per_ue < z * inst.rate_req - RATE_TOL_BPS).nonzero()[0]:
-            violations.append(("5f", int(u)))
-    return FeasibilityReport(feasible=not violations, violations=tuple(violations))
+    per_bs_chain, per_ue_chain = x.sum(axis=0), x.sum(axis=1)
+    masks = {
+        "5b": per_bs_chain > 1,
+        "5c": per_ue_chain > 1,
+        "5d": np.bincount(inst.bs_of_chain, per_bs_chain, minlength=inst.n_bs) > inst.n_bs_rf,
+        "5e": _per_ue(inst, per_ue_chain) > z * inst.n_ue_rf,
+        "5f": _per_ue(inst, (x * inst.c).sum(axis=1)) < z * inst.rate_req - RATE_TOL_BPS,
+    }
+    ids = [cid for cid in ALL_CONSTRAINTS if cid in wanted]
+    violations = tuple((cid, k) for cid in ids for k in masks[cid].nonzero()[0].tolist())
+    return FeasibilityReport(feasible=not violations, violations=violations)
 
 
 def weight_term(c_ij, r_u, n_ue_rf: int):

@@ -22,6 +22,13 @@ and a -0.0 entry (5f's -c / r_u where c == 0) is a triplet of its own,
 so it is scattered as -0.0.  Pivots and x therefore do not depend on
 the form A came in.
 
+Empty inputs take the general path, and every input is checked
+whatever its size: the shapes, the finiteness of c, A and b, b >= 0 and
+0 < upper < inf.  With no columns the loop prices none and returns an
+empty x, objective 0.0 and 0 iterations.  Only a problem without rows
+returns early, at the box optimum with 0 iterations: with no columns
+either, the loop would have nothing to price.
+
 Row updates are deferred to the rows that pivot, in the manner of the
 product form of the inverse (Dantzig & Orchard-Hays, 1954).  Pivot p is
 recorded as its divided pivot row and as row p of the multiplier matrix
@@ -161,8 +168,6 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
 
     if ub_struct.shape != (n,):
         raise ValueError(f"upper bounds shape {ub_struct.shape} != ({n},)")
-    if n == 0:
-        return LpSolution(x=np.zeros(0), objective=0.0, iterations=0)
     a = a_ub if isinstance(a_ub, SparseRows) else SparseRows.from_dense(a_ub)
     if a.shape != (m, n):
         raise ValueError(f"constraint matrix shape {a.shape} != ({m}, {n})")

@@ -182,10 +182,11 @@ def path_loss_db(distance_m, carrier_ghz: float):
 
     Distances below DISTANCE_FLOOR_M are clamped to the floor;
     non-positive distances additionally raise a warning, and a NaN
-    distance raises ValueError.
+    distance raises ValueError, as does a carrier that is not finite
+    and > 0.
     """
-    if carrier_ghz <= 0:
-        raise ValueError(f"carrier frequency must be > 0, got {carrier_ghz}")
+    if not 0 < carrier_ghz < math.inf:  # NaN fails too
+        raise ValueError(f"carrier frequency must be finite and > 0, got {carrier_ghz}")
     d = np.asarray(distance_m, dtype=float)
     if np.isnan(d).any():
         raise ValueError("distance must not be NaN")

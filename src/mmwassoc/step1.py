@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from operator import add
+from operator import add, index
 
 import numpy as np
 
@@ -312,7 +312,9 @@ def solve_step1_exact(
     to the lexicographically smallest assignment matrix (tied state
     arrivals are re-explored for that reason).  Raises
     NodeBudgetExceeded (carrying the incumbent) if the tree outgrows
-    node_budget.
+    node_budget.  node_budget must be an integer of at least 1: a float
+    raises TypeError and a smaller one ValueError, before any LP is
+    solved.
 
     The capacities and link weights are read once per solve as flat
     row-major Python lists, so every score, table entry and search sum
@@ -322,6 +324,8 @@ def solve_step1_exact(
     assignment.  A node's free-chain count, which indexes the table, is
     n_bc minus the bits set in its used-chain mask.
     """
+    if index(node_budget) < 1:  # as ExperimentSpec rejects exact_node_budget
+        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     n_ue, n_bc, n_ue_rf = inst.n_ue, inst.c.shape[1], inst.n_ue_rf
     # Link f belongs to UE f // (n_ue_rf * n_bc).
     weights = weight_term(inst.c.ravel(), inst.rate_req.repeat(n_ue_rf * n_bc), n_ue_rf).tolist()

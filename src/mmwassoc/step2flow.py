@@ -325,8 +325,6 @@ def relaxed_step2_lp(res: ResidualInstance) -> tuple[np.ndarray, float]:
     """
     n_rows, n_cols = res.c.shape
     nx = n_rows * n_cols
-    if nx == 0:
-        return np.zeros((n_rows, n_cols)), 0.0
     # Variable i * n_cols + j is the link (UE chain i, BS chain j): row j
     # (5b) and row n_cols + i (5c) hold a 1 in its column.
     rows = np.concatenate(
@@ -339,8 +337,6 @@ def relaxed_step2_lp(res: ResidualInstance) -> tuple[np.ndarray, float]:
 
 
 def verify_integrality(x_frac: np.ndarray, tol: float = 1e-6) -> bool:
-    """True when every entry is within tol of 0 or 1 (vacuously for empty)."""
+    """True when every entry is within tol of 0 or 1 (an empty x is integral)."""
     x = np.asarray(x_frac, dtype=float)
-    if x.size == 0:
-        return True
     return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= tol))

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import mmwassoc as m
-from mmwassoc import cli, harness, lp
-from mmwassoc.instance import STRUCTURAL_CONSTRAINTS, instance_to_dict
+from mmwassoc import cli, harness, lp, step2flow
+from mmwassoc.instance import STRUCTURAL_CONSTRAINTS, empty_solution, instance_to_dict
 from mmwassoc.model import FIELD_PARSERS
 
 from conftest import random_instance
@@ -71,6 +71,23 @@ def test_two_step_merge_is_consistent():
             # step-1 associations stay satisfied in the merge
             for u in np.flatnonzero(first.z):
                 assert combined.per_ue_rate[u] >= inst.rate_req[u] - 1e-6
+
+
+def test_merge_rejects_a_step2_x_of_another_shape():
+    # Nobody is satisfiable, so the residual is the whole 2 x 2 instance.
+    # A (1, 2) step-2 x would be broadcast into both rows and give each
+    # BS chain two links.
+    inst = m.make_instance(np.full((2, 2), 1e9), np.array([5e9, 5e9]), 1, 1)
+    first = empty_solution(inst)
+    res = step2flow.make_residual(inst, first)
+    assert res.c.shape == (2, 2)
+    for shape in ((1, 2), (2, 1), (2,), (2, 3)):
+        x = np.ones(shape, dtype=int)
+        bad = m.AssociationSolution(x=x, z=np.ones(2, dtype=int), per_ue_rate=np.zeros(2))
+        with pytest.raises(ValueError, match="step-2 x shape"):
+            harness.merge_solutions(inst, first, res, bad)
+    merged = harness.merge_solutions(inst, first, res, step2flow.solve_step2(res))
+    np.testing.assert_array_equal(merged.x, np.eye(2, dtype=int))
 
 
 def test_two_step_rejects_unknown_solver():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,11 @@ from hypothesis import strategies as st
 
 import mmwassoc as m
 from mmwassoc.instance import (
+    ALL_CONSTRAINTS,
+    RATE_TOL_BPS,
     STRUCTURAL_CONSTRAINTS,
+    _check_shape,
+    _per_ue,
     empty_solution,
     instance_from_dict,
     instance_to_dict,
@@ -151,6 +157,14 @@ def test_check_feasibility_rejects_bad_shapes():
             x=np.full(inst.c.shape, 2), z=np.zeros(2, dtype=int), per_ue_rate=np.zeros(2)
         )
         m.check_feasibility(inst, bad)
+    # One entry of x or z that is not 0 or 1, NaN included.
+    for value in (np.nan, 0.5, -1.0):
+        x, z = np.zeros(inst.c.shape), np.zeros(2)
+        for entries in (x, z):
+            entries.flat[-1] = value
+            with pytest.raises(ValueError, match="binary"):
+                m.check_feasibility(inst, m.AssociationSolution(x, z, np.zeros(2)))
+            entries.flat[-1] = 0.0
 
 
 def test_check_feasibility_rejects_unknown_constraint_ids():
@@ -166,6 +180,8 @@ def test_check_feasibility_rejects_unknown_constraint_ids():
         with pytest.raises(ValueError, match="constraints"):
             m.check_feasibility(inst, sol, constraints)
     assert not m.check_feasibility(inst, sol, ["5c"]).feasible
+    # An iterator is read once, and every id it names is audited.
+    assert m.check_feasibility(inst, sol, iter(["5c"])).violations == (("5c", 0),)
 
 
 def _oracle_verdict(inst, x, z):
@@ -195,6 +211,64 @@ def _oracle_verdict(inst, x, z):
         if rate < z[u] * inst.rate_req[u] - 1e-6:
             return False
     return True
+
+
+def _branch_check_feasibility(inst, sol, constraints=ALL_CONSTRAINTS):
+    """Reference: check_feasibility as one branch per constraint id."""
+    if isinstance(constraints, str) or not set(constraints) <= set(ALL_CONSTRAINTS):
+        raise ValueError(f"constraints must be ids from {ALL_CONSTRAINTS}, got {constraints!r}")
+    _check_shape(inst, sol)
+    x, z = sol.x, sol.z
+    if not np.isin(x, (0, 1)).all() or not np.isin(z, (0, 1)).all():
+        raise ValueError("x and z must be binary")
+
+    violations: list[tuple[str, int]] = []
+    chains_per_ue = _per_ue(inst, x.sum(axis=1))
+    if "5b" in constraints:
+        for j in (x.sum(axis=0) > 1).nonzero()[0]:
+            violations.append(("5b", int(j)))
+    if "5c" in constraints:
+        for i in (x.sum(axis=1) > 1).nonzero()[0]:
+            violations.append(("5c", int(i)))
+    if "5d" in constraints:
+        per_bs = np.bincount(inst.bs_of_chain, weights=x.sum(axis=0), minlength=inst.n_bs)
+        for b in (per_bs > inst.n_bs_rf).nonzero()[0]:
+            violations.append(("5d", int(b)))
+    if "5e" in constraints:
+        for u in (chains_per_ue > z * inst.n_ue_rf).nonzero()[0]:
+            violations.append(("5e", int(u)))
+    if "5f" in constraints:
+        per_ue = _per_ue(inst, (x * inst.c).sum(axis=1))
+        for u in (per_ue < z * inst.rate_req - RATE_TOL_BPS).nonzero()[0]:
+            violations.append(("5f", int(u)))
+    return m.FeasibilityReport(feasible=not violations, violations=tuple(violations))
+
+
+ID_SUBSETS = [ids for k in range(6) for ids in combinations(ALL_CONSTRAINTS, k)]
+
+
+def test_check_feasibility_equals_the_branch_reference_on_every_id_subset():
+    # Sparse and dense x, z drawn or flagged from x, and x and z as int,
+    # float or bool: the reports must be equal, violations and their
+    # order included, for each of the 32 subsets of ids, in either order.
+    assert len(ID_SUBSETS) == 32
+    rng = np.random.default_rng(25)
+    seen = set()
+    for trial in range(150):
+        inst = random_instance(rng, *rng.integers(1, [5, 4, 3, 4]).tolist())
+        x = rng.random(inst.c.shape) < rng.choice([0.1, 0.3, 0.6])
+        z = rng.integers(0, 2, inst.n_ue) if trial % 2 else solution_from_x(inst, x).z
+        dtype = (int, float, bool)[trial % 3]
+        sol = m.AssociationSolution(
+            x=x.astype(dtype), z=z.astype(dtype), per_ue_rate=np.zeros(inst.n_ue)
+        )
+        for ids in ID_SUBSETS:
+            for constraints in (ids, ids[::-1]):
+                got = m.check_feasibility(inst, sol, constraints)
+                assert got == _branch_check_feasibility(inst, sol, constraints)
+                assert all(type(k) is int for _, k in got.violations)
+                seen.update(cid for cid, _ in got.violations)
+    assert seen == set(ALL_CONSTRAINTS)  # every mask fired somewhere
 
 
 def test_check_feasibility_agrees_with_loop_oracle():

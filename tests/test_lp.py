@@ -74,6 +74,31 @@ def test_rejects_bad_bounds():
 
 
 @pytest.mark.parametrize(
+    "a_ub, b_ub, match",
+    [
+        ([[np.nan]], [-1.0], "shape"),  # a NaN in a column the LP does not have
+        ([[np.nan]], [1.0], "shape"),
+        (np.zeros((1, 0)), [np.nan], "finite"),
+        (np.zeros((1, 0)), [-1.0], ">= 0"),
+        (np.zeros((2, 0)), [1.0], "shape"),  # two rows, one right-hand side
+    ],
+)
+def test_no_columns_still_checks_every_input(a_ub, b_ub, match):
+    with pytest.raises(ValueError, match=match):
+        lp.solve_lp_max([], a_ub, b_ub, [])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3])
+def test_no_columns_give_the_empty_answer(n_rows):
+    empty = np.zeros(0, dtype=int)
+    for a_ub in (np.zeros((n_rows, 0)), lp.SparseRows(empty, empty, np.zeros(0), (n_rows, 0))):
+        got = lp.solve_lp_max([], a_ub, np.ones(n_rows), [])
+        assert got.x.shape == (0,) and got.x.dtype == np.float64
+        assert type(got.objective) is float and got.objective == 0.0
+        assert got.iterations == 0
+
+
+@pytest.mark.parametrize(
     "objective, a_ub, upper",
     [
         ([1.0, 2.0], [[1.0, 0.0]], [1.0]),  # was "LP is unbounded"

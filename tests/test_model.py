@@ -128,6 +128,12 @@ def test_path_loss_rejects_nan_distance():
         m.path_loss_db(np.array([10.0, np.nan]), 28.0)
 
 
+@pytest.mark.parametrize("carrier", [0.0, -28.0, math.nan, math.inf, -math.inf])
+def test_path_loss_rejects_a_carrier_that_is_not_finite_and_positive(carrier):
+    with pytest.raises(ValueError, match="carrier frequency must be finite and > 0"):
+        m.path_loss_db(100.0, carrier)
+
+
 @given(st.floats(1.0, 1e5), st.floats(1.0, 1e5))
 def test_path_loss_monotone_in_distance(d1, d2):
     lo, hi = sorted((d1, d2))

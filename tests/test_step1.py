@@ -111,6 +111,23 @@ def test_exact_node_budget_guard():
     assert m.check_feasibility(inst, incumbent).feasible
 
 
+@pytest.mark.parametrize(
+    "budget, error", [(0, ValueError), (-1, ValueError), (2.5, TypeError), (1.0, TypeError)]
+)
+def test_exact_rejects_a_node_budget_below_one_or_not_an_integer(budget, error, monkeypatch):
+    # Rejected before the relaxation is solved, so no LP may run.
+    def must_not_run(*args):
+        raise AssertionError("the LP was solved before the node budget was checked")
+
+    inst = random_instance(np.random.default_rng(8), 4, 3, 2, 2)
+    monkeypatch.setattr(lp, "solve_lp_max", must_not_run)
+    with pytest.raises(error):
+        m.solve_step1_exact(inst, node_budget=budget)
+    monkeypatch.undo()
+    with pytest.raises(step1.NodeBudgetExceeded):  # the smallest budget is still a budget
+        m.solve_step1_exact(inst, node_budget=np.int64(1))
+
+
 def test_exact_lexicographic_tie_break():
     # Two identical columns: both assignments score the same; the
     # lexicographically smaller x uses the later column... column 0

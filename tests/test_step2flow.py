@@ -894,6 +894,16 @@ def test_min_cost_flow_reproduces_pinned_flows(run_id, r_max, full_sha256, post_
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_relaxed_lp_of_an_empty_block_is_empty(shape):
+    n_rows, n_cols = shape
+    rows = np.arange(n_rows)
+    res = step2flow.ResidualInstance(np.zeros(shape), rows, np.arange(n_cols), rows)
+    x_frac, obj = relaxed_step2_lp(res)
+    assert x_frac.shape == shape and x_frac.dtype == np.float64
+    assert type(obj) is float and obj == 0.0
+
+
 def test_verify_integrality():
     assert m.verify_integrality(np.array([[1.0, 0.0], [0.0, 1e-7]]))
     assert not m.verify_integrality(np.array([[0.5]]))
