@@ -14,7 +14,8 @@ links from crowding out cheap-to-serve ones.
 
 Solvers:
   * solve_step1_exact: depth-first branch and bound over per-UE chain
-    subsets, globally optimal, guarded by a node budget.
+    subsets, pruned by one table over each BS's used-chain count,
+    globally optimal, guarded by a node budget.
   * solve_step1_lp: box relaxation of constraints 5b, 5c, 5e and 5f,
     solved by the in-package bounded-variable simplex; an upper bound on
     the exact optimum.  The per-BS budget 5d needs no rows: 5b implies
@@ -265,19 +266,37 @@ def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, n_bc: int, 
     return out
 
 
-def _completion_bound(candidates: list, n_bc: int) -> list[list[float]]:
-    """bound[u][f] = max(bound[u+1][f], best_k(u) + bound[u+1][f - k] for k <= f),
-    best_k(u) being UE u's top score among its candidates with k links."""
-    table = [[0.0] * (n_bc + 1)]
+def _count_table(candidates: list, n_bs: int, n_bs_rf: int) -> tuple[list, list]:
+    """Completion bounds over per-BS used-chain counts, and each candidate's step.
+
+    table[u][k] is the best score UEs u.. can add when k holds the number
+    of used chains at each BS, flattened in base n_bs_rf + 1 (BS 0 most
+    significant):
+
+        table[u][k] = max(table[u+1][k], s + table[u+1][k + d] for k + d <= n_bs_rf),
+
+    over UE u's candidates, d being a candidate's per-BS chain counts and s
+    the best score among u's candidates with those counts.  steps[u][i] is
+    candidate i's d, flattened the same way, so a node's index advances by
+    addition.
+    """
+    base, chains_of_bs = n_bs_rf + 1, (1 << n_bs_rf) - 1
+    table, steps = [np.zeros((base,) * n_bs)], []
     for cands in reversed(candidates):
-        rest, row = table[-1], table[-1][:]
-        # cands run best first, so reversed the best of each size is written last.
-        best_k = {len(links): score for score, _, links in reversed(cands)}
-        for k, score in best_k.items():
-            for f in range(k, n_bc + 1):
-                row[f] = max(row[f], score + rest[f - k])
+        rest, row = table[-1], table[-1].copy()
+        counts = [
+            tuple((mask >> b * n_bs_rf & chains_of_bs).bit_count() for b in range(n_bs))
+            for _, mask, _ in cands
+        ]
+        # cands run best first, so reversed the best of each d is written last.
+        best_d = {d: cand[0] for cand, d in zip(reversed(cands), reversed(counts))}
+        for d, score in best_d.items():
+            room = row[tuple(slice(base - k) for k in d)]  # entries k with k + d <= n_bs_rf
+            np.maximum(room, score + rest[tuple(slice(k, None) for k in d)], out=room)
+        step_of = {d: int(np.ravel_multi_index(d, row.shape)) for d in best_d}
+        steps.append([step_of[d] for d in counts])
         table.append(row)
-    return table[::-1]
+    return [t.ravel().tolist() for t in reversed(table)], steps[::-1]
 
 
 def _lex_less(links_a, links_b) -> bool:
@@ -297,32 +316,39 @@ def solve_step1_exact(
     """Globally optimal association by depth-first branch and bound.
 
     Branches per UE over its minimal satisfying chain sets (or none).
-    Pruning uses state dominance (two prefixes reaching the same (UE,
-    used-chain mask) state admit identical completions, so an arrival
-    scoring strictly below an earlier one is dead) and a bound table,
-    filled once per solve: the multiple-choice knapsack over free chains
-    of _completion_bound (Sinha & Zoltners, Oper. Res. 27(3), 1979).  It
-    is admissible, since a completion adds per later UE at most one
-    candidate, of k links scoring at most best_k(u), within the free
-    chains.  A state is cut when its score plus its entry falls below the
-    incumbent by more than _TIE_EPS, which covers the round-off: the
-    table and the search add the same n_ue or fewer scores below 1 in
-    different orders, so they differ by about 1e-13 at n_ue = 30.  The
-    incumbent is seeded from the rounded relaxation.  Score ties resolve
-    to the lexicographically smallest assignment matrix (tied state
-    arrivals are re-explored for that reason).  Raises
+    One table, filled once per solve by _count_table, prunes.  It is a
+    state-space relaxation (Christofides, Mingozzi & Toth, Networks
+    11(2), 1981): of a node's state, the next UE and the used-chain mask,
+    it keeps the UE and the number of used chains at each BS.  It is
+    admissible, since a real completion takes chains disjoint from the
+    used ones, so its per-BS counts add up within n_bs_rf and it scores
+    the same in the table.  A node is cut when its score plus its entry
+    falls below the incumbent by more than _TIE_EPS, which covers the
+    round-off: the table and the search add the same n_ue or fewer
+    scores below 1 in different orders, so they differ by about 1e-13 at
+    n_ue = 30.  A cut subtree then holds only leaves that the search
+    would take neither as an improvement nor as a tie, since the
+    incumbent's score never falls.  No state dominance is kept: it would
+    cut only arrivals at a (UE, used-chain mask) state scoring strictly
+    below an earlier arrival, whose leaves all lose to that arrival's
+    best, so it changes no result, and behind the table it saves few
+    nodes for a dictionary and a tie rule of its own.  The incumbent is
+    seeded from the rounded relaxation.  Score ties resolve to the
+    lexicographically smallest assignment matrix.  Raises
     NodeBudgetExceeded (carrying the incumbent) if the tree outgrows
-    node_budget.  node_budget must be an integer of at least 1: a float
-    raises TypeError and a smaller one ValueError, before any LP is
-    solved.
+    node_budget, or before anything is enumerated if every UE's possible
+    candidates, or the table's entries, would.  node_budget must be an
+    integer of at least 1: a float raises TypeError and a smaller one
+    ValueError, before any LP is solved.
 
     The capacities and link weights are read once per solve as flat
     row-major Python lists, so every score, table entry and search sum
     is a plain float.  Throughout the search a link (i, j) is its flat
     index i * n_bc + j in x: candidates, the stack of links and the
     incumbent hold ints, and the incumbent's x is written in one
-    assignment.  A node's free-chain count, which indexes the table, is
-    n_bc minus the bits set in its used-chain mask.
+    assignment.  A node's index into the table, cell, is its per-BS
+    used-chain counts flattened as in _count_table, and each candidate
+    adds its precomputed step to it.
     """
     if index(node_budget) < 1:  # as ExperimentSpec rejects exact_node_budget
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
@@ -338,16 +364,17 @@ def solve_step1_exact(
         penalty += weights[f]
     seed_score = len({f // n_bc // n_ue_rf for f in seed_links}) - penalty
 
-    # Guard before enumerating: candidate generation itself must fit.
+    # Guard before enumerating: the candidates and the count table, of
+    # (n_bs_rf + 1) ** n_bs entries per UE, must fit too.
     per_ue_candidates = sum(
         math.comb(n_bc, k) * math.perm(n_ue_rf, k) for k in range(1, n_ue_rf + 1)
     )
-    if per_ue_candidates * n_ue > node_budget:
+    if max(per_ue_candidates, (inst.n_bs_rf + 1) ** inst.n_bs) * n_ue > node_budget:
         raise NodeBudgetExceeded(node_budget, seed)
 
     candidates = [_ue_candidates(c, weights, r, n_ue_rf, n_bc, u) for u, r in enumerate(rate_req)]
 
-    bound = _completion_bound(candidates, n_bc)
+    table, steps = _count_table(candidates, inst.n_bs, inst.n_bs_rf)
 
     best_score = 0.0
     best_links: tuple = ()
@@ -356,14 +383,13 @@ def solve_step1_exact(
 
     nodes = 0
     stack: list[int] = []
-    state_best: dict[int, float] = {}
 
     def best_solution() -> AssociationSolution:
         x = np.zeros(inst.c.size, dtype=int)
         x[list(best_links)] = 1
         return solution_from_x(inst, x.reshape(inst.c.shape))
 
-    def dfs(u: int, used_mask: int, score: float) -> None:
+    def dfs(u: int, used_mask: int, cell: int, score: float) -> None:
         nonlocal best_score, best_links, nodes
         nodes += 1
         if nodes > node_budget:
@@ -374,21 +400,18 @@ def solve_step1_exact(
             elif score > best_score - _TIE_EPS and _lex_less(stack, best_links):
                 best_links = tuple(stack)
             return
-        if score + bound[u][n_bc - used_mask.bit_count()] < best_score - _TIE_EPS:
+        if score + table[u][cell] < best_score - _TIE_EPS:
             return
-        key = (u << n_bc) | used_mask
-        seen = state_best.get(key, -math.inf)
-        if score < seen - _TIE_EPS:
-            return  # a better prefix already reached this state
-        if score > seen:
-            state_best[key] = score
-        for cand_score, mask, links in candidates[u]:
+        for (cand_score, mask, links), step in zip(candidates[u], steps[u]):
             if mask & used_mask:
                 continue
             stack.extend(links)
-            dfs(u + 1, used_mask | mask, score + cand_score)
+            dfs(u + 1, used_mask | mask, cell + step, score + cand_score)
             del stack[-len(links) :]
-        dfs(u + 1, used_mask, score)  # leave u unassociated
+        dfs(u + 1, used_mask, cell, score)  # leave u unassociated
 
-    dfs(0, 0, 0.0)
+    try:
+        dfs(0, 0, 0, 0.0)
+    finally:
+        del dfs  # dfs refers to itself: break the cycle so its tables are freed on return
     return best_solution()

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import tracemalloc
 from dataclasses import replace
@@ -111,6 +112,20 @@ def test_exact_node_budget_guard():
     assert m.check_feasibility(inst, incumbent).feasible
 
 
+def test_exact_node_budget_guards_the_count_table(monkeypatch):
+    # 12 BSs of one chain give 2 ** 12 table entries per UE, 8,192 for two
+    # UEs against a budget of 5,000, though the UEs have only 24 candidates:
+    # the seed is raised and the table is never built.
+    def must_not_run(*args):
+        raise AssertionError("the count table was built beyond the node budget")
+
+    inst = random_instance(np.random.default_rng(8), 2, 12, 1, 1)
+    monkeypatch.setattr(step1, "_count_table", must_not_run)
+    with pytest.raises(step1.NodeBudgetExceeded) as excinfo:
+        m.solve_step1_exact(inst, node_budget=5_000)
+    assert m.check_feasibility(inst, excinfo.value.incumbent).feasible
+
+
 @pytest.mark.parametrize(
     "budget, error", [(0, ValueError), (-1, ValueError), (2.5, TypeError), (1.0, TypeError)]
 )
@@ -210,12 +225,12 @@ def test_lex_less_is_the_order_of_the_dense_matrices():
 DESK_CELLS = [(run_id, r_max) for run_id in range(3) for r_max in (0.5e9, 1e9, 2e9, 4e9)]
 
 
-def _desk_cell(run_id, r_max):
+def _desk_cell(run_id, r_max, seed=0):
     cfg = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
-    return harness.build_cell_instance(cfg, run_id, r_max)
+    return harness.build_cell_instance(replace(cfg, seed=seed), run_id, r_max)
 
 
-@pytest.mark.parametrize("run_id, r_max, nodes", [(1, 2e9, 50_413), (2, 0.5e9, 6_449)])
+@pytest.mark.parametrize("run_id, r_max, nodes", [(1, 2e9, 14_062), (2, 0.5e9, 9_237)])
 def test_exact_node_count_pins(run_id, r_max, nodes):
     # The search visits exactly `nodes` nodes: it finishes within that
     # budget and overruns one below it.  Both pins lie above the 2,400
@@ -225,6 +240,23 @@ def test_exact_node_count_pins(run_id, r_max, nodes):
     m.solve_step1_exact(inst, node_budget=nodes)
     with pytest.raises(step1.NodeBudgetExceeded):
         m.solve_step1_exact(inst, node_budget=nodes - 1)
+
+
+def test_exact_search_leaves_no_reference_cycle():
+    # The search is a closure that refers to itself; each solve breaks
+    # that cycle, so its tables are freed on return, not at the next
+    # garbage collection, whether it finishes or overruns its budget.
+    inst = _desk_cell(1, 2e9)
+    gc.collect()
+    gc.disable()
+    try:
+        m.solve_step1_exact(inst)
+        assert gc.collect() == 0
+        with pytest.raises(step1.NodeBudgetExceeded):
+            m.solve_step1_exact(inst, node_budget=5_000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _milp_step1_optimum(inst):
@@ -244,16 +276,46 @@ def _milp_step1_optimum(inst):
     return -ref.fun
 
 
-@pytest.mark.parametrize("run_id, r_max", DESK_CELLS)
-def test_exact_matches_milp_on_desk_cells(run_id, r_max):
-    inst = _desk_cell(run_id, r_max)
+# Desk cells of other config seeds on which the knapsack-bounded search
+# with state dominance exhausted the default node budget.
+FORMER_OVERRUN_CELLS = [(4, 4e9, 1454), (18, 4e9, 3), (7, 4e9, 1452)]
+
+
+@pytest.mark.parametrize(
+    "run_id, r_max, seed",
+    # The default seed's cells keep their two-part ids.
+    [pytest.param(*cell, 0, id="-".join(map(str, cell))) for cell in DESK_CELLS]
+    + FORMER_OVERRUN_CELLS,
+)
+def test_exact_matches_milp_on_desk_cells(run_id, r_max, seed):
+    inst = _desk_cell(run_id, r_max, seed)
     want = _milp_step1_optimum(inst)
     got = m.objective_step1(inst, m.solve_step1_exact(inst))
     assert got == pytest.approx(want, abs=1e-7)
 
 
+def _multiple_choice_knapsack_bound(candidates, n_bc):
+    """bound[u][f] = max(bound[u+1][f], best_k(u) + bound[u+1][f - k] for k <= f),
+    best_k(u) being UE u's top score among its candidates with k links.
+
+    The exact search's bound before the count table, over free chains
+    alone, kept as the count table's reference.
+    """
+    table = [[0.0] * (n_bc + 1)]
+    for cands in reversed(candidates):
+        rest, row = table[-1], table[-1][:]
+        # cands run best first, so reversed the best of each size is written last.
+        best_k = {len(links): score for score, _, links in reversed(cands)}
+        for k, score in best_k.items():
+            for f in range(k, n_bc + 1):
+                row[f] = max(row[f], score + rest[f - k])
+        table.append(row)
+    return table[::-1]
+
+
 def _fractional_knapsack_bound(candidates, n_bc):
-    """The exact search's former bound, kept as the table's reference.
+    """The exact search's bound before the multiple-choice knapsack, kept
+    as that knapsack's reference.
 
     Each UE offers its top score at its smallest link count, and the
     offers are packed by score per link into the free chains, the last
@@ -290,10 +352,13 @@ def _bound_instances():
     ]
 
 
-def test_completion_bound_is_between_the_optimum_and_the_knapsack():
-    # The table never exceeds the fractional knapsack, so the search
-    # visits no node it did not visit before; and its root entry still
-    # bounds the exact optimum, so no optimum is cut.
+def test_count_table_is_between_the_optimum_and_the_knapsack():
+    # Every count-table entry is at most the multiple-choice knapsack's
+    # entry at the same number of free chains (itself at most the
+    # fractional knapsack's), so the count table cuts at least what the
+    # knapsack cut; and its root entry still bounds the exact optimum, so
+    # no optimum is cut.
+    tighter = 0
     for trial, inst in enumerate(_bound_instances()):
         w = m.weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
         c, w, r = inst.c.ravel().tolist(), w.ravel().tolist(), inst.rate_req.tolist()
@@ -301,11 +366,16 @@ def test_completion_bound_is_between_the_optimum_and_the_knapsack():
         candidates = [
             step1._ue_candidates(c, w, r[u], inst.n_ue_rf, n_bc, u) for u in range(inst.n_ue)
         ]
-        table = step1._completion_bound(candidates, n_bc)
-        knapsack = _fractional_knapsack_bound(candidates, n_bc)
-        assert np.all(np.array(table) <= np.array(knapsack) + 1e-9), f"trial {trial}"
+        table, _ = step1._count_table(candidates, inst.n_bs, inst.n_bs_rf)
+        knapsack = np.array(_multiple_choice_knapsack_bound(candidates, n_bc))
+        fractional = np.array(_fractional_knapsack_bound(candidates, n_bc))
+        assert np.all(knapsack <= fractional + 1e-9), f"trial {trial}"
+        used = np.indices((inst.n_bs_rf + 1,) * inst.n_bs).sum(axis=0).ravel()
+        assert np.all(np.array(table) <= knapsack[:, n_bc - used] + 1e-9), f"trial {trial}"
         optimum = m.objective_step1(inst, m.solve_step1_exact(inst))
-        assert table[0][n_bc] >= optimum - 1e-9, f"trial {trial}"
+        assert table[0][0] >= optimum - 1e-9, f"trial {trial}"
+        tighter += table[0][0] < knapsack[0][n_bc] - 1e-9
+    assert tighter > 0  # the counts know which BS a chain belongs to
 
 
 # ---------------------------------------------------------------------------
