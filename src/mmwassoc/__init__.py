@@ -29,7 +29,6 @@ from .model import (
     link_capacity,
     path_loss_db,
     sample_scenario,
-    steering_vector,
 )
 from .step1 import (
     FractionalSolution,

@@ -52,6 +52,10 @@ class AssociationInstance:
     bs_of_chain: np.ndarray = field(init=False)  # BS index per BS chain
 
     def __post_init__(self) -> None:
+        if self.c.ndim != 2:
+            raise ValueError(
+                f"the capacity matrix must be 2-D (UE chains x BS chains), got {self.c.ndim}-D"
+            )
         if operator.index(self.n_ue_rf) < 1 or operator.index(self.n_bs_rf) < 1:
             raise ValueError("n_ue_rf and n_bs_rf must be >= 1")
         n_uc, n_bc = self.c.shape

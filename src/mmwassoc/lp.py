@@ -10,17 +10,14 @@ termination certain on the highly degenerate assignment polytopes this
 package produces.  The returned point is a basic feasible solution,
 i.e. a vertex of the feasible polytope.
 
-Input forms.  A comes either as SparseRows, the (row, column, value)
-triplets of its listed entries, or as a dense array, which is turned
-into the triplets of every entry that is not +0.0, so both take one
-path.  The tableau is zero-filled once and the triplets are scattered
+Input form.  A comes as SparseRows, the (row, column, value) triplets
+of its listed entries; any other a_ub raises TypeError before any other
+work.  The tableau is zero-filled once and the triplets are scattered
 into it, and only their values are checked for finiteness: no dense A
 is built, scanned or copied (the step-1 rows are 2.7 % nonzero on a
-full.cfg cell, 0.9 % at 9 BSs x 100 UEs).  The tableau is the one a
-dense copy of A gave, bit for bit: an entry left out is +0.0 in both,
-and a -0.0 entry (5f's -c / r_u where c == 0) is a triplet of its own,
-so it is scattered as -0.0.  Pivots and x therefore do not depend on
-the form A came in.
+full.cfg cell, 0.9 % at 9 BSs x 100 UEs).  An entry left out is +0.0,
+and a listed -0.0 (5f's -c / r_u where c == 0) is scattered as -0.0,
+so the tableau is np.asarray(A) bit for bit.
 
 Empty inputs take the general path, and every input is checked
 whatever its size: the shapes, the finiteness of c, A and b, b >= 0 and
@@ -133,13 +130,6 @@ class SparseRows:
         for name, value in (("rows", rows), ("cols", cols), ("values", values), ("shape", (m, n))):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_dense(cls, a) -> SparseRows:
-        """The entries of a that are not +0.0: -0.0, NaN and inf are kept."""
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        rows, cols = ((a != 0.0) | np.signbit(a)).nonzero()
-        return cls(rows, cols, a[rows, cols], a.shape)
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("densifying SparseRows always makes a new array")
@@ -158,8 +148,10 @@ class LpSolution:
 def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     """Maximize objective @ x subject to a_ub @ x <= b_ub, 0 <= x <= upper.
 
-    a_ub is a SparseRows or anything np.asarray turns into a 2-D matrix.
+    a_ub is a SparseRows: the triplets of A's listed entries.
     """
+    if not isinstance(a_ub, SparseRows):
+        raise TypeError(f"a_ub must be a SparseRows, not {type(a_ub).__name__}")
     c = np.asarray(objective, dtype=float)
     b = np.asarray(b_ub, dtype=float)
     ub_struct = np.asarray(upper, dtype=float)
@@ -168,10 +160,9 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
 
     if ub_struct.shape != (n,):
         raise ValueError(f"upper bounds shape {ub_struct.shape} != ({n},)")
-    a = a_ub if isinstance(a_ub, SparseRows) else SparseRows.from_dense(a_ub)
-    if a.shape != (m, n):
-        raise ValueError(f"constraint matrix shape {a.shape} != ({m}, {n})")
-    if not (np.isfinite(c).all() and np.isfinite(a.values).all() and np.isfinite(b).all()):
+    if a_ub.shape != (m, n):
+        raise ValueError(f"constraint matrix shape {a_ub.shape} != ({m}, {n})")
+    if not (np.isfinite(c).all() and np.isfinite(a_ub.values).all() and np.isfinite(b).all()):
         raise ValueError("objective, a_ub and b_ub must be finite")
     if not (b >= 0).all():
         raise ValueError("b_ub must be >= 0 (all-zeros must be feasible)")
@@ -189,7 +180,7 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     # One zero fill, then the triplets and the slack identity by flat index.
     flat = tableau.reshape(-1)
     flat.fill(0.0)
-    flat[a.rows * total + a.cols] = a.values
+    flat[a_ub.rows * total + a_ub.cols] = a_ub.values
     flat[n :: total + 1] = 1.0
     blocks = [store[m:]]  # record rows, in blocks of doubling size
     pivot_rows = []  # record p: the divided pivot row

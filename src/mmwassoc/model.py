@@ -148,22 +148,14 @@ class ScenarioRealization:
     path_gain: np.ndarray  # (n_ue, n_bs) linear
 
 
-def steering_vector(angle: float, n: int) -> np.ndarray:
-    """ULA spatial response: element k is exp(-j*pi*k*sin(angle)) / sqrt(n)."""
-    if operator.index(n) < 1:  # a float count raises TypeError
-        raise ValueError(f"element count must be >= 1, got {n}")
-    if not np.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle}")
-    k = np.arange(n)
-    return np.exp(-1j * np.pi * k * np.sin(angle)) / math.sqrt(n)
-
-
 def beamforming_gain(est_angle, true_angle, n: int):
     """Power overlap |a(est)^H a(true)|^2 of two ULA responses, in [0, 1].
 
-    Broadcasts over array-valued angles.  Equals 1 exactly when
-    sin(est) == sin(true) (and at grating repeats where they differ by
-    an even integer).  A NaN or infinite angle raises ValueError.
+    a(angle) is the n-element response, element k being
+    exp(-j*pi*k*sin(angle)) / sqrt(n).  Broadcasts over array-valued
+    angles.  Equals 1 exactly when sin(est) == sin(true) (and at grating
+    repeats where they differ by an even integer).  A NaN or infinite
+    angle raises ValueError.
     """
     if operator.index(n) < 1:  # a float count raises TypeError
         raise ValueError(f"element count must be >= 1, got {n}")
@@ -235,10 +227,12 @@ def sample_scenario(cfg: ScenarioConfig) -> ScenarioRealization:
 
     BSs sit on a regular grid with cfg.bs_spacing between neighbors
     (most-square factorization of n_bs, e.g. 5 -> 1x5 line); UEs are
-    uniform in the grid's bounding rectangle.  True AoA/AoD are i.i.d.
-    uniform on (-pi/2, pi/2) per chain pair; estimates add zero-mean
-    Gaussian errors with the configured sigmas.  Rate requirements are
-    uniform on [r_min_bps, r_max_bps].
+    uniform in the grid's bounding rectangle.  A one-row grid (any prime
+    n_bs, and both shipped configs: desk.cfg 1x3, full.cfg 1x5) has a
+    zero-height rectangle, so every UE lies on the BS line, at y == 0.
+    True AoA/AoD are i.i.d. uniform on (-pi/2, pi/2) per chain pair;
+    estimates add zero-mean Gaussian errors with the configured sigmas.
+    Rate requirements are uniform on [r_min_bps, r_max_bps].
     """
     root = np.random.SeedSequence(cfg.seed)
     gens = {

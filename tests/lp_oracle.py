@@ -7,6 +7,10 @@ pivot it subtracts the pivot row from every row of the entering
 column's support at once.  Both do the same float operations on every
 entry either one reads, so the tests require equal pivot counts,
 objectives and x bytes from the two.
+
+The oracle takes its constraint matrix dense, as the reference;
+`lp.solve_lp_max` takes only SparseRows, and `sparse_rows` turns a
+densely written test LP into them.
 """
 
 from __future__ import annotations
@@ -25,7 +29,15 @@ from mmwassoc.lp import (
     _STALL_LIMIT,
     LpSolution,
     SimplexError,
+    SparseRows,
 )
+
+
+def sparse_rows(a) -> SparseRows:
+    """The triplets of the entries of a that are not +0.0: -0.0, NaN and inf are kept."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    rows, cols = ((a != 0.0) | np.signbit(a)).nonzero()
+    return SparseRows(rows, cols, a[rows, cols], a.shape)
 
 
 def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:

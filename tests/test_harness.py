@@ -100,13 +100,17 @@ def _desk_cell():
     return harness.build_cell_instance(DESK, 0, 1e9)
 
 
+def _identity_rows():
+    return lp.SparseRows(np.arange(3), np.arange(3), np.ones(3), (3, 3))
+
+
 # Each builder makes a new object from the same inputs, so two calls give
 # equal records in separate arrays.
 ARRAY_RECORDS = {
     "AssociationInstance": _desk_cell,
     "AssociationSolution": lambda: m.max_sum_rate(_desk_cell()),
-    "SparseRows": lambda: lp.SparseRows.from_dense(np.eye(3)),
-    "LpSolution": lambda: lp.solve_lp_max(np.ones(3), np.eye(3), np.ones(3), np.ones(3)),
+    "SparseRows": _identity_rows,
+    "LpSolution": lambda: lp.solve_lp_max(np.ones(3), _identity_rows(), np.ones(3), np.ones(3)),
     "ScenarioRealization": lambda: m.sample_scenario(DESK),
     "FractionalSolution": lambda: m.solve_step1_lp(_desk_cell()),
     "ResidualInstance": lambda: m.full_residual(_desk_cell()),
@@ -588,6 +592,8 @@ def _instance_text(edit):
         (_instance_text(lambda d: d.update(bs_of_chain=[0, 1, 0, 1])), "bs_of_chain"),
         (_instance_text(lambda d: d.update(n_ue=99, n_bs=7)), "n_ue is not"),
         (_instance_text(lambda d: d.update(n_bs=7)), "n_bs is not"),
+        (_instance_text(lambda d: d.update(capacity_bps=[])), "must be 2-D"),
+        (_instance_text(lambda d: d.update(capacity_bps=[[[1e9]]])), "must be 2-D"),
     ],
     ids=[
         "missing-file",
@@ -601,6 +607,8 @@ def _instance_text(edit):
         "permuted-bs-map",
         "wrong-dimensions",
         "wrong-n-bs",
+        "empty-capacity",
+        "3-d-capacity",
     ],
 )
 def test_cli_solve_bad_instance_exits_2_with_one_error_line(tmp_path, capsys, text, message):

@@ -55,6 +55,12 @@ def test_instance_rejects_uneven_partition():
         m.AssociationInstance(c=np.zeros((2, 3)), rate_req=np.ones(1), n_ue_rf=2, n_bs_rf=2)
 
 
+@pytest.mark.parametrize("c", [[], [1e9, 2e9], [[[1e9]]]], ids=["empty", "1-D", "3-D"])
+def test_instance_rejects_a_capacity_matrix_that_is_not_2d(c):
+    with pytest.raises(ValueError, match="must be 2-D"):
+        m.make_instance(c, np.ones(1), 1, 1)
+
+
 def test_instance_rejects_nonpositive_rates():
     with pytest.raises(ValueError):
         m.make_instance(np.ones((2, 2)), np.array([1.0, 0.0]), 1, 1)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import lp_oracle
+from lp_oracle import sparse_rows
 import mmwassoc as m
 from mmwassoc import harness, lp, step1
 
@@ -20,21 +21,22 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_unconstrained_box():
-    got = lp.solve_lp_max(np.array([1.0, -2.0, 0.0]), np.zeros((0, 3)), np.zeros(0), np.ones(3))
+    no_rows = sparse_rows(np.zeros((0, 3)))
+    got = lp.solve_lp_max(np.array([1.0, -2.0, 0.0]), no_rows, np.zeros(0), np.ones(3))
     np.testing.assert_allclose(got.x, [1.0, 0.0, 0.0])
     assert got.objective == pytest.approx(1.0)
 
 
 def test_single_budget_row():
     # max 3a + 2b s.t. a + b <= 1, box [0, 1]: optimum a=1, b=0
-    got = lp.solve_lp_max([3.0, 2.0], [[1.0, 1.0]], [1.0], [1.0, 1.0])
+    got = lp.solve_lp_max([3.0, 2.0], sparse_rows([[1.0, 1.0]]), [1.0], [1.0, 1.0])
     np.testing.assert_allclose(got.x, [1.0, 0.0], atol=1e-12)
     assert got.objective == pytest.approx(3.0)
 
 
 def test_upper_bounds_bind():
     # max a + b s.t. a + 2b <= 2, box [0, 0.8]: a=0.8, b=0.6
-    got = lp.solve_lp_max([1.0, 1.0], [[1.0, 2.0]], [2.0], [0.8, 0.8])
+    got = lp.solve_lp_max([1.0, 1.0], sparse_rows([[1.0, 2.0]]), [2.0], [0.8, 0.8])
     np.testing.assert_allclose(got.x, [0.8, 0.6], atol=1e-10)
 
 
@@ -50,7 +52,7 @@ def test_degenerate_assignment_polytope():
         r = np.zeros(n * n)
         r[j::n] = 1.0
         rows.append(r)
-    got = lp.solve_lp_max(np.ones(n * n), rows, np.ones(2 * n), np.ones(n * n))
+    got = lp.solve_lp_max(np.ones(n * n), sparse_rows(rows), np.ones(2 * n), np.ones(n * n))
     assert got.objective == pytest.approx(n, abs=1e-9)
 
 
@@ -58,29 +60,29 @@ def test_entry_inside_pivot_band_never_blocks_the_ratio_test():
     # Row 0's entry 1e-13 lies within _PIV_TOL of zero, so its ratio
     # 0 / 1e-13 must not limit the step (a pivot on it would be singular):
     # row 1 stops x at 1 before the bound flip at 2.
-    got = lp.solve_lp_max([1.0], [[1e-13], [1.0]], [0.0, 1.0], [2.0])
+    got = lp.solve_lp_max([1.0], sparse_rows([[1e-13], [1.0]]), [0.0, 1.0], [2.0])
     np.testing.assert_array_equal(got.x, [1.0])
     assert got.iterations == 1
 
 
 def test_rejects_negative_rhs():
     with pytest.raises(ValueError):
-        lp.solve_lp_max([1.0], [[1.0]], [-1.0], [1.0])
+        lp.solve_lp_max([1.0], sparse_rows([[1.0]]), [-1.0], [1.0])
 
 
 def test_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        lp.solve_lp_max([1.0], [[1.0]], [1.0], [0.0])
+        lp.solve_lp_max([1.0], sparse_rows([[1.0]]), [1.0], [0.0])
 
 
 @pytest.mark.parametrize(
     "a_ub, b_ub, match",
     [
-        ([[np.nan]], [-1.0], "shape"),  # a NaN in a column the LP does not have
-        ([[np.nan]], [1.0], "shape"),
-        (np.zeros((1, 0)), [np.nan], "finite"),
-        (np.zeros((1, 0)), [-1.0], ">= 0"),
-        (np.zeros((2, 0)), [1.0], "shape"),  # two rows, one right-hand side
+        (sparse_rows([[np.nan]]), [-1.0], "shape"),  # a NaN in a column the LP does not have
+        (sparse_rows([[np.nan]]), [1.0], "shape"),
+        (sparse_rows(np.zeros((1, 0))), [np.nan], "finite"),
+        (sparse_rows(np.zeros((1, 0))), [-1.0], ">= 0"),
+        (sparse_rows(np.zeros((2, 0))), [1.0], "shape"),  # two rows, one right-hand side
     ],
 )
 def test_no_columns_still_checks_every_input(a_ub, b_ub, match):
@@ -91,19 +93,19 @@ def test_no_columns_still_checks_every_input(a_ub, b_ub, match):
 @pytest.mark.parametrize("n_rows", [0, 1, 3])
 def test_no_columns_give_the_empty_answer(n_rows):
     empty = np.zeros(0, dtype=int)
-    for a_ub in (np.zeros((n_rows, 0)), lp.SparseRows(empty, empty, np.zeros(0), (n_rows, 0))):
-        got = lp.solve_lp_max([], a_ub, np.ones(n_rows), [])
-        assert got.x.shape == (0,) and got.x.dtype == np.float64
-        assert type(got.objective) is float and got.objective == 0.0
-        assert got.iterations == 0
+    a_ub = lp.SparseRows(empty, empty, np.zeros(0), (n_rows, 0))
+    got = lp.solve_lp_max([], a_ub, np.ones(n_rows), [])
+    assert got.x.shape == (0,) and got.x.dtype == np.float64
+    assert type(got.objective) is float and got.objective == 0.0
+    assert got.iterations == 0
 
 
 @pytest.mark.parametrize(
     "objective, a_ub, upper",
     [
-        ([1.0, 2.0], [[1.0, 0.0]], [1.0]),  # was "LP is unbounded"
-        ([1.0, 2.0, 3.0], [[1.0, 0.0, 0.0]], [1.0]),  # was an IndexError
-        ([1.0, 2.0], [[1.0, 0.0]], [1.0, 1.0, 1.0]),  # was a broadcast error
+        ([1.0, 2.0], sparse_rows([[1.0, 0.0]]), [1.0]),  # was "LP is unbounded"
+        ([1.0, 2.0, 3.0], sparse_rows([[1.0, 0.0, 0.0]]), [1.0]),  # was an IndexError
+        ([1.0, 2.0], sparse_rows([[1.0, 0.0]]), [1.0, 1.0, 1.0]),  # was a broadcast error
     ],
 )
 def test_rejects_upper_bounds_of_the_wrong_shape(objective, a_ub, upper):
@@ -112,16 +114,23 @@ def test_rejects_upper_bounds_of_the_wrong_shape(objective, a_ub, upper):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["objective", "a_ub", "b_ub", "triplets"])
+@pytest.mark.parametrize("where", ["objective", "b_ub", "triplets"])
 def test_rejects_non_finite_inputs(where, bad):
-    args = {"objective": [1.0, 2.0], "a_ub": [[1.0, 1.0]], "b_ub": [1.0]}
-    key = "a_ub" if where == "triplets" else where
-    args[key] = np.array(args[key])
-    args[key].flat[0] = bad
-    if where == "triplets":
-        args[key] = lp.SparseRows(np.array([0, 0]), np.array([0, 1]), args[key][0], (1, 2))
+    args = {"objective": [1.0, 2.0], "triplets": [1.0, 1.0], "b_ub": [1.0]}
+    args[where] = np.array(args[where])
+    args[where][0] = bad
+    a_ub = lp.SparseRows(np.array([0, 0]), np.array([0, 1]), args["triplets"], (1, 2))
     with pytest.raises(ValueError, match="finite"):
-        lp.solve_lp_max(args["objective"], args["a_ub"], args["b_ub"], [1.0, 1.0])
+        lp.solve_lp_max(args["objective"], a_ub, args["b_ub"], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("a_ub", [[[1.0, 0.0], [0.0, 1.0]], np.eye(2)], ids=["nested-list", "eye"])
+def test_rejects_a_dense_constraint_matrix(a_ub):
+    with pytest.raises(TypeError, match="SparseRows"):
+        lp.solve_lp_max([1.0, 1.0], a_ub, [1.0, 1.0], [1.0, 1.0])
+    # before any other work: the form is checked ahead of bad values and shapes
+    with pytest.raises(TypeError, match="SparseRows"):
+        lp.solve_lp_max([np.nan], a_ub, [-1.0], [1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -161,7 +170,7 @@ def test_sparse_rows_densify_without_a_warning():
         assert np.asarray(a, dtype=np.float32).dtype == np.float32
     with pytest.raises(ValueError):  # a dense form is always a new array
         np.array(a, copy=False)
-    back = lp.SparseRows.from_dense(want)  # -0.0 is kept, +0.0 is not
+    back = sparse_rows(want)  # -0.0 is kept, +0.0 is not
     assert back.rows.tolist() == [0, 1] and back.cols.tolist() == [2, 0]
     assert np.asarray(back).tobytes() == want.tobytes()
 
@@ -178,7 +187,8 @@ _BEALE = (
 def test_beale_cycling_example_ends_under_blands_rule():
     # The solve stalls for 40 degenerate pivots, switches to Bland's rule
     # and reaches the optimum in two more.
-    got = lp.solve_lp_max(*_BEALE, np.full(4, 10.0))
+    c, a, b = _BEALE
+    got = lp.solve_lp_max(c, sparse_rows(a), b, np.full(4, 10.0))
     assert got.iterations == 42
     np.testing.assert_allclose(got.x, [1.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
     assert got.objective == pytest.approx(1.25)
@@ -217,7 +227,7 @@ def test_simplex_branches_reproduce_pinned_digest():
     lps += [_assignment_polytope(n) for n in range(4, 13)]
     digest = hashlib.sha256()
     for c, a, b, u in lps:
-        got = lp.solve_lp_max(c, a, b, u)
+        got = lp.solve_lp_max(c, sparse_rows(a), b, u)
         digest.update(got.iterations.to_bytes(8, "little"))
         digest.update(got.x.tobytes())
     assert digest.hexdigest() == BRANCH_PIN
@@ -227,7 +237,7 @@ def test_simplex_branches_reproduce_pinned_digest():
 @given(st.integers(0, 10**6))
 def test_matches_scipy_on_random_lps(seed):
     c, a, b, u = _random_lp(np.random.default_rng(seed))
-    got = lp.solve_lp_max(c, a, b, u)
+    got = lp.solve_lp_max(c, sparse_rows(a), b, u)
     ref = linprog(-c, A_ub=a, b_ub=b, bounds=list(zip(np.zeros_like(u), u)), method="highs")
     assert ref.status == 0
     assert got.objective == pytest.approx(-ref.fun, abs=1e-7)
@@ -242,7 +252,7 @@ def test_vertex_has_enough_tight_constraints(seed):
     # A basic feasible solution has at least n tight constraints among
     # rows and bounds (vertex property, needed by the integrality check).
     c, a, b, u = _random_lp(np.random.default_rng(seed))
-    got = lp.solve_lp_max(c, a, b, u)
+    got = lp.solve_lp_max(c, sparse_rows(a), b, u)
     tight = int(np.sum(np.abs(a @ got.x - b) <= 1e-8))
     tight += int(np.sum(np.abs(got.x) <= 1e-8))
     tight += int(np.sum(np.abs(got.x - u) <= 1e-8))
@@ -359,16 +369,16 @@ def _family_lp(family, rng):
 
 @settings(max_examples=200)
 @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
-def test_triplets_and_their_dense_form_solve_alike(family, seed):
-    # The triplets of the nonzeros in a shuffled order, built without
-    # SparseRows.from_dense, against their dense form.
+def test_triplet_order_does_not_change_the_solve(family, seed):
+    # The same triplets in a shuffled order against row-major order.
     rng = np.random.default_rng(seed)
     c, a, b, u = _family_lp(family, rng)
-    rows, cols = np.nonzero(a)
-    order = rng.permutation(rows.size)
-    triplets = lp.SparseRows(rows[order], cols[order], a[rows, cols][order], a.shape)
-    got = lp.solve_lp_max(c, triplets, b, u)
-    ref = lp.solve_lp_max(c, np.asarray(triplets), b, u)
+    row_major = sparse_rows(a)
+    order = rng.permutation(row_major.values.size)
+    shuffled = lp.SparseRows(row_major.rows[order], row_major.cols[order],
+                             row_major.values[order], row_major.shape)
+    got = lp.solve_lp_max(c, shuffled, b, u)
+    ref = lp.solve_lp_max(c, row_major, b, u)
     assert got.iterations == ref.iterations
     assert got.x.tobytes() == ref.x.tobytes()
 
@@ -377,7 +387,7 @@ def test_triplets_and_their_dense_form_solve_alike(family, seed):
 @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
 def test_deferred_updates_match_the_eager_oracle(family, seed):
     c, a, b, u = _family_lp(family, np.random.default_rng(seed))
-    got = lp.solve_lp_max(c, a, b, u)
+    got = lp.solve_lp_max(c, sparse_rows(a), b, u)
     ref = lp_oracle.solve_lp_max(c, a, b, u)
     assert got.iterations == ref.iterations
     assert got.objective == ref.objective
@@ -414,8 +424,8 @@ def _branches_taken(lps):
 
     sys.settrace(global_trace)
     try:
-        for args in lps:
-            lp.solve_lp_max(*args)
+        for c, a, b, u in lps:
+            lp.solve_lp_max(c, sparse_rows(a), b, u)
     finally:
         sys.settrace(None)
     return seen

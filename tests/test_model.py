@@ -1,4 +1,7 @@
 import math
+import operator
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,42 +12,53 @@ import mmwassoc as m
 from mmwassoc.model import DISTANCE_FLOOR_M, _grid_shape
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
-# steering_vector
+# steering_vector: the oracle for beamforming_gain
 # ---------------------------------------------------------------------------
+
+
+def steering_vector(angle: float, n: int) -> np.ndarray:
+    """ULA spatial response: element k is exp(-j*pi*k*sin(angle)) / sqrt(n)."""
+    if operator.index(n) < 1:  # a float count raises TypeError
+        raise ValueError(f"element count must be >= 1, got {n}")
+    if not np.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
+    k = np.arange(n)
+    return np.exp(-1j * np.pi * k * np.sin(angle)) / math.sqrt(n)
 
 
 def test_steering_vector_zero_angle():
-    np.testing.assert_allclose(m.steering_vector(0.0, 4), np.full(4, 0.5), atol=1e-15)
+    np.testing.assert_allclose(steering_vector(0.0, 4), np.full(4, 0.5), atol=1e-15)
 
 
 def test_steering_vector_pi_half_two_elements():
     np.testing.assert_allclose(
-        m.steering_vector(math.pi / 2, 2), np.array([1.0, -1.0]) / math.sqrt(2), atol=1e-15
+        steering_vector(math.pi / 2, 2), np.array([1.0, -1.0]) / math.sqrt(2), atol=1e-15
     )
 
 
 def test_steering_vector_pi_sixth():
     # sin(pi/6) = 1/2, so element k should be exp(-j*pi*k/2)/sqrt(8)
-    got = m.steering_vector(math.pi / 6, 8)
+    got = steering_vector(math.pi / 6, 8)
     want = np.array([np.exp(-1j * math.pi * k * 0.5) for k in range(8)]) / math.sqrt(8)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_steering_vector_rejects_bad_input():
     with pytest.raises(ValueError):
-        m.steering_vector(0.0, 0)
+        steering_vector(0.0, 0)
     with pytest.raises(ValueError):
-        m.steering_vector(math.nan, 4)
+        steering_vector(math.nan, 4)
     with pytest.raises(TypeError):  # was 3 elements scaled by 1/sqrt(2.5)
-        m.steering_vector(0.3, 2.5)
+        steering_vector(0.3, 2.5)
 
 
 @given(angles, st.integers(1, 256))
 def test_steering_vector_unit_norm(angle, n):
-    assert abs(np.linalg.norm(m.steering_vector(angle, n)) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(steering_vector(angle, n)) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +109,7 @@ def test_beamforming_gain_matches_steering_inner_product():
     rng = np.random.default_rng(3)
     for est, true in rng.uniform(-1.5, 1.5, (20, 2)):
         for n in (1, 2, 8, 32):
-            inner = np.vdot(m.steering_vector(est, n), m.steering_vector(true, n))
+            inner = np.vdot(steering_vector(est, n), steering_vector(true, n))
             assert m.beamforming_gain(est, true, n) == pytest.approx(
                 abs(inner) ** 2, abs=1e-12
             )
@@ -285,6 +299,20 @@ def test_sample_scenario_shapes_and_ranges():
     assert np.isclose(
         np.linalg.norm(real.bs_positions[1] - real.bs_positions[0]), cfg.bs_spacing
     )
+
+
+@pytest.mark.parametrize("config", ["desk.cfg", "full.cfg"])
+def test_one_row_grid_puts_every_ue_on_the_bs_line(config):
+    # Both shipped configs have a 1 x n_bs grid, so the UE rectangle has
+    # zero height: UEs spread along the BS line and never off it.
+    cfg = m.ScenarioConfig.from_config_file(CONFIGS / config)
+    assert _grid_shape(cfg.n_bs) == (1, cfg.n_bs)
+    for seed in range(5):
+        real = m.sample_scenario(replace(cfg, seed=seed))
+        assert (real.bs_positions[:, 1] == 0.0).all()
+        assert (real.ue_positions[:, 1] == 0.0).all()
+        assert real.ue_positions[:, 0].max() <= (cfg.n_bs - 1) * cfg.bs_spacing
+        assert np.unique(real.ue_positions[:, 0]).size == cfg.n_ue
 
 
 def test_sample_scenario_zero_sigma_means_perfect_estimates():
