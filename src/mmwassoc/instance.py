@@ -1,4 +1,4 @@
-"""Association instances, constraint auditing, objective, and metrics.
+"""Association instances, solutions, constraint auditing, objective, and metrics.
 
 An instance holds the chain-level capacity matrix, per-UE rate
 requirements and the chain count of every UE and BS.  Chain ownership is
@@ -6,6 +6,12 @@ a rule, not data: UE chain i belongs to UE i // n_ue_rf and BS chain j to
 BS j // n_bs_rf, the layout `model` samples.  A solution is a binary
 assignment ``x`` over (UE RF chain, BS RF chain) pairs plus per-UE
 association flags ``z``.
+
+This module is the one place that says what a solution holds and what
+it is worth: complete_solution builds every solver's solution from its
+x (solution_from_x for a whole instance, step 2 for a residual block),
+and link_weights holds the per-link penalty that objective_step1, the
+step-1 LP and the exact search all read.
 
 The auditor checks the named constraints of the requirement-aware
 association problem:
@@ -120,16 +126,25 @@ def _per_ue(inst: AssociationInstance, per_chain: np.ndarray) -> np.ndarray:
     return np.bincount(inst.ue_of_chain, weights=per_chain, minlength=inst.n_ue)
 
 
+def complete_solution(x, c, ue_of_row, n_ue: int) -> AssociationSolution:
+    """Solution from a 0/1 x over the capacity rows c, row i owned by UE ue_of_row[i].
+
+    z flags every UE of range(n_ue) with a link, and per_ue_rate sums the
+    capacities of its links.
+    """
+    return AssociationSolution(
+        x=x,
+        z=(np.bincount(ue_of_row, weights=x.sum(axis=1), minlength=n_ue) > 0).astype(int),
+        per_ue_rate=np.bincount(ue_of_row, weights=(x * c).sum(axis=1), minlength=n_ue),
+    )
+
+
 def solution_from_x(inst: AssociationInstance, x: np.ndarray) -> AssociationSolution:
-    """Complete a solution from x: per-UE rates, and z flagging every UE with a link."""
+    """Complete a solution of inst from x (see complete_solution)."""
     x = np.asarray(x)
     if x.shape != inst.c.shape:
         raise ValueError(f"x shape {x.shape} does not match instance {inst.c.shape}")
-    return AssociationSolution(
-        x=x.astype(int),
-        z=(_per_ue(inst, x.sum(axis=1)) > 0).astype(int),
-        per_ue_rate=_per_ue(inst, (x * inst.c).sum(axis=1)),
-    )
+    return complete_solution(x.astype(int), inst.c, inst.ue_of_chain, inst.n_ue)
 
 
 def empty_solution(inst: AssociationInstance) -> AssociationSolution:
@@ -199,16 +214,20 @@ def weight_term(c_ij, r_u, n_ue_rf: int):
     return 1.0 / (n_ue_rf + 1.0 + c_ij / r_u)
 
 
+def link_weights(inst: AssociationInstance) -> np.ndarray:
+    """The weight_term of every link, shaped like inst.c."""
+    return weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
+
+
 def objective_step1(inst: AssociationInstance, sol: AssociationSolution) -> float:
-    """Association score: sum(z) minus the weight_term of every active link.
+    """Association score: sum(z) minus the link weight of every active link.
 
     Associating is always worth more than the chains it spends, and
     higher-capacity links cost less.  A solution of the wrong shape
     raises ValueError.
     """
     _check_shape(inst, sol)
-    weights = weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
-    return float(sol.z.sum() - (sol.x * weights).sum())
+    return float(sol.z.sum() - (sol.x * link_weights(inst)).sum())
 
 
 def metrics(inst: AssociationInstance, sol: AssociationSolution) -> SolutionMetrics:

@@ -88,6 +88,19 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if operator.index(self.seed) < 0:  # a float seed raises TypeError
             raise ValueError("seed must be a non-negative integer")
+        # Finite dB values can still overflow the link budget and poison
+        # every capacity: check the strongest link any scenario can hold,
+        # at the distance floor with full beam gains.
+        try:
+            with np.errstate(all="ignore"):
+                peak = link_capacity(_path_gain(DISTANCE_FLOOR_M, self.carrier_ghz), 1.0, 1.0, self)
+        except OverflowError:
+            peak = math.inf
+        if not math.isfinite(peak):
+            raise ValueError(
+                "the link budget (tx_power_dbm, noise_psd_dbm_hz, bandwidth_hz, carrier_ghz) "
+                f"is out of range: the strongest link's capacity would be {peak}"
+            )
 
     @property
     def n_ue_chains(self) -> int:
@@ -190,6 +203,11 @@ def path_loss_db(distance_m, carrier_ghz: float):
     return 32.4 + 21.0 * np.log10(d) + 20.0 * np.log10(carrier_ghz)
 
 
+def _path_gain(distance_m, carrier_ghz: float):
+    """Linear power gain of path_loss_db(distance_m, carrier_ghz)."""
+    return 10.0 ** (-path_loss_db(distance_m, carrier_ghz) / 10.0)
+
+
 def link_capacity(path_gain, gain_ue, gain_bs, cfg: ScenarioConfig):
     """Capacity B*log2(1 + SNR) in bit/s for one (or many) chain pairs."""
     for name, g in (("path_gain", path_gain), ("gain_ue", gain_ue), ("gain_bs", gain_bs)):
@@ -255,7 +273,7 @@ def sample_scenario(cfg: ScenarioConfig) -> ScenarioRealization:
     est_aod = true_aod + math.radians(cfg.sigma_aod_deg) * gens["err_aod"].standard_normal(shape)
 
     dist = np.linalg.norm(ue_pos[:, None, :] - bs_pos[None, :, :], axis=-1)
-    path_gain = 10.0 ** (-path_loss_db(dist, cfg.carrier_ghz) / 10.0)
+    path_gain = _path_gain(dist, cfg.carrier_ghz)
 
     return ScenarioRealization(
         bs_positions=_freeze(bs_pos),

@@ -5,17 +5,21 @@ few BS RF chains as possible and preferring high-capacity links.  The
 score of a solution (instance.objective_step1) is
 
     sum_u z_u  -  sum over active links (i, j) of
-                  weight_term(c_ij, r_u, n_ue_rf) = 1 / (n_ue_rf + 1 + c_ij / r_u).
+                  w_ij = 1 / (n_ue_rf + 1 + c_ij / r_u),  r_u the owning UE's requirement.
 
 Every link penalty lies in (0, 1/(n_ue_rf + 1)], so with n_ue_rf links a
 UE still nets a positive gain, and the per-chain penalty keeps the chain
 count minimal; dividing c_ij by r_u stops high-requirement UEs with good
-links from crowding out cheap-to-serve ones.
+links from crowding out cheap-to-serve ones.  The penalties come from
+one table, instance.link_weights, which the LP's objective and the exact
+search's candidate scores read and which objective_step1 scores with,
+so every solver here prices a link the same way, bit for bit.
 
 Solvers:
   * solve_step1_exact: depth-first branch and bound over per-UE chain
     subsets, pruned by one table over each BS's used-chain count,
-    globally optimal, guarded by a node budget.
+    globally optimal, guarded by a node budget, and started from the
+    rounded relaxation scored by objective_step1.
   * solve_step1_lp: box relaxation of constraints 5b, 5c, 5e and 5f,
     solved by the in-package bounded-variable simplex; an upper bound on
     the exact optimum.  The per-BS budget 5d needs no rows: 5b implies
@@ -34,7 +38,8 @@ from operator import add, index
 import numpy as np
 
 from . import lp
-from .instance import AssociationInstance, AssociationSolution, solution_from_x, weight_term
+from .instance import AssociationInstance, AssociationSolution, link_weights, objective_step1
+from .instance import solution_from_x
 
 DEFAULT_NODE_BUDGET = 2_000_000
 SUPPORT_EPS = 1e-9
@@ -114,8 +119,7 @@ def solve_step1_lp(inst: AssociationInstance) -> FractionalSolution:
     """Optimum of the box relaxation; an upper bound on any binary solution."""
     n_uc, n_bc = inst.c.shape
     nx = n_uc * n_bc
-    weights = weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
-    objective = np.concatenate([-weights.ravel(), np.ones(inst.n_ue)])
+    objective = np.concatenate([-link_weights(inst).ravel(), np.ones(inst.n_ue)])
     a_ub, b_ub = _relaxation_rows(inst)
     res = lp.solve_lp_max(objective, a_ub, b_ub, np.ones(nx + inst.n_ue))
     lhs = np.bincount(a_ub.rows, weights=a_ub.values * res.x[a_ub.cols], minlength=b_ub.size)
@@ -243,8 +247,9 @@ def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, n_bc: int, 
     The sums add the links in order; CPython 3.12 and later compensate a
     float sum of three or more terms, which only n_ue_rf > 2 reaches.
     """
-    # Flat offsets i * n_bc of UE u's chains i, from the instance's chain layout.
-    rows = range(u * n_ue_rf * n_bc, (u + 1) * n_ue_rf * n_bc, n_bc)
+    # Flat offsets i * n_bc of UE u's chains i, from the instance's chain
+    # layout; with no BS chains there is no BS subset, so no candidate.
+    rows = [i * n_bc for i in range(u * n_ue_rf, (u + 1) * n_ue_rf)]
     out = []
     for k in range(1, n_ue_rf + 1):
         for bs_subset in combinations(range(n_bc), k):
@@ -332,37 +337,36 @@ def solve_step1_exact(
     cut only arrivals at a (UE, used-chain mask) state scoring strictly
     below an earlier arrival, whose leaves all lose to that arrival's
     best, so it changes no result, and behind the table it saves few
-    nodes for a dictionary and a tie rule of its own.  The incumbent is
-    seeded from the rounded relaxation.  Score ties resolve to the
-    lexicographically smallest assignment matrix.  Raises
+    nodes for a dictionary and a tie rule of its own.  The first
+    incumbent is the rounded relaxation as it stands, scored by
+    objective_step1: a rounded solution scores more than
+    1/(n_ue_rf + 1) for each UE it associates, so it beats the empty
+    association unless it has no links, and then it is the empty one.
+    Score ties resolve to the lexicographically smallest assignment
+    matrix.  A UE with no candidates (none of its link sets reaches
+    r_u, or the instance has no BS chains) stays unassociated.  Raises
     NodeBudgetExceeded (carrying the incumbent) if the tree outgrows
     node_budget, or before anything is enumerated if every UE's possible
     candidates, or the table's entries, would.  node_budget must be an
     integer of at least 1: a float raises TypeError and a smaller one
     ValueError, before any LP is solved.
 
-    The capacities and link weights are read once per solve as flat
-    row-major Python lists, so every score, table entry and search sum
-    is a plain float.  Throughout the search a link (i, j) is its flat
-    index i * n_bc + j in x: candidates, the stack of links and the
-    incumbent hold ints, and the incumbent's x is written in one
-    assignment.  A node's index into the table, cell, is its per-BS
-    used-chain counts flattened as in _count_table, and each candidate
-    adds its precomputed step to it.
+    The capacities and link weights (instance.link_weights) are read
+    once per solve as flat row-major Python lists, so every candidate
+    score, table entry and search sum is a plain float.  Throughout the
+    search a link (i, j) is its flat index i * n_bc + j in x:
+    candidates, the stack of links and the incumbent hold ints, and the
+    incumbent's x is written in one assignment.  A node's index into the
+    table, cell, is its per-BS used-chain counts flattened as in
+    _count_table, and each candidate adds its precomputed step to it.
     """
     if index(node_budget) < 1:  # as ExperimentSpec rejects exact_node_budget
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     n_ue, n_bc, n_ue_rf = inst.n_ue, inst.c.shape[1], inst.n_ue_rf
-    # Link f belongs to UE f // (n_ue_rf * n_bc).
-    weights = weight_term(inst.c.ravel(), inst.rate_req.repeat(n_ue_rf * n_bc), n_ue_rf).tolist()
+    weights = link_weights(inst).ravel().tolist()
     c, rate_req = inst.c.ravel().tolist(), inst.rate_req.tolist()
 
     seed = round_solution(solve_step1_lp(inst), inst)
-    seed_links = tuple(np.flatnonzero(seed.x).tolist())
-    penalty = 0.0
-    for f in seed_links:  # in x's row-major order on every CPython (see _ue_candidates)
-        penalty += weights[f]
-    seed_score = len({f // n_bc // n_ue_rf for f in seed_links}) - penalty
 
     # Guard before enumerating: the candidates and the count table, of
     # (n_bs_rf + 1) ** n_bs entries per UE, must fit too.
@@ -376,11 +380,8 @@ def solve_step1_exact(
 
     table, steps = _count_table(candidates, inst.n_bs, inst.n_bs_rf)
 
-    best_score = 0.0
-    best_links: tuple = ()
-    if seed_score > best_score + _TIE_EPS:
-        best_score, best_links = seed_score, seed_links
-
+    best_score = objective_step1(inst, seed)
+    best_links = tuple(np.flatnonzero(seed.x).tolist())
     nodes = 0
     stack: list[int] = []
 

@@ -24,7 +24,10 @@ The network path serves step 2 only: baselines.max_sum_rate calls
 solve_assignment on the whole capacity matrix.  solve_step2 keeps
 building the network and calling solve_min_cost_flow although only the
 block is needed, because the benchmark's sweep tracing reports both as
-spans and counts the network's edges.
+spans and counts the network's edges.  It takes that path for every
+residual, an empty one too, and completes its solution with
+instance.complete_solution, as solution_from_x does for a whole
+instance.
 
 The network has no per-BS budget or per-UE cap layer because neither
 can bind: a BS's leftover budget equals its number of free chains, and
@@ -44,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .instance import AssociationInstance, AssociationSolution, _check_shape, empty_solution
+from .instance import AssociationInstance, AssociationSolution, _check_shape, complete_solution
+from .instance import empty_solution
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,23 +299,21 @@ def solve_assignment(c: np.ndarray) -> np.ndarray:
 def solve_step2(res: ResidualInstance) -> AssociationSolution:
     """Max-sum-rate assignment of the residual, indexed in residual space.
 
-    It goes through build_flow_network and solve_min_cost_flow, the
-    network path that only step 2 uses, because the benchmark's sweep
-    tracing reports both as spans; solve_assignment(res.c) gives the
-    same x.
+    Every residual, an empty one too, goes through build_flow_network and
+    solve_min_cost_flow, the network path that only step 2 uses, because
+    the benchmark's sweep tracing reports both as spans;
+    solve_assignment(res.c) gives the same x.  The solution is completed
+    by instance.complete_solution, its z and per_ue_rate indexed by the
+    residual's UEs in ascending order.
     """
     n_rows, n_cols = res.c.shape
-    x = np.zeros((n_rows, n_cols), dtype=int)
-    if res.c.size:
-        flow = solve_min_cost_flow(build_flow_network(res))
-        # The link edges follow the n_cols source edges, BS chain outer.
-        x = flow[n_cols : n_cols * (1 + n_rows)].reshape(n_cols, n_rows).T.astype(int)
-    # The residual's UEs in ascending order, and each row's position among them.
-    ues = np.bincount(res.ue_of_chain).nonzero()[0]
-    ue_pos = ues.searchsorted(res.ue_of_chain)
-    per_ue = np.bincount(ue_pos, weights=(x * res.c).sum(axis=1), minlength=len(ues))
-    links = np.bincount(ue_pos, weights=x.sum(axis=1), minlength=len(ues))
-    return AssociationSolution(x=x, z=(links > 0).astype(int), per_ue_rate=per_ue)
+    flow = solve_min_cost_flow(build_flow_network(res))
+    # The link edges follow the n_cols source edges, BS chain outer.
+    x = flow[n_cols : n_cols * (1 + n_rows)].reshape(n_cols, n_rows).T.astype(int)
+    # The residual's UEs, ascending.  Not np.unique: its first call imports
+    # numpy.ma, which the first cell of every process would pay for.
+    ues = sorted(set(res.ue_of_chain.tolist()))
+    return complete_solution(x, res.c, np.searchsorted(ues, res.ue_of_chain), len(ues))
 
 
 def relaxed_step2_lp(res: ResidualInstance) -> tuple[np.ndarray, float]:

@@ -45,6 +45,27 @@ def test_two_step_equals_max_sum_rate_when_nothing_satisfiable():
         assert got == want
 
 
+def test_every_scheme_solves_instances_with_an_empty_side():
+    # 0-3 UEs and 0-3 BSs, so some instances have no UE or no BS at all;
+    # without BS chains a UE has no candidate link set in the exact search.
+    rng = np.random.default_rng(28)
+    sizes = 0
+    for _ in range(60):
+        n_ue, n_bs = rng.integers(0, 4, 2).tolist()
+        inst = random_instance(rng, n_ue, n_bs, *rng.integers(1, 3, 2).tolist())
+        sizes += inst.c.size == 0
+        for scheme in harness.SCHEMES:
+            sol, used = harness.run_scheme(inst, scheme)
+            assert m.check_feasibility(inst, sol, STRUCTURAL_CONSTRAINTS).feasible, scheme
+            if scheme in harness.TWO_STEP_SOLVERS:
+                first = m.run_two_step(inst, harness.TWO_STEP_SOLVERS[scheme]).step1_solution
+                assert m.check_feasibility(inst, first).feasible, scheme
+                assert used == first.x.sum()
+            if inst.c.size == 0:
+                assert sol.z.sum() == 0, scheme
+    assert sizes >= 20  # an empty side is drawn often
+
+
 def test_two_step_skips_step2_when_chains_exhausted():
     # One BS chain, one easily satisfied UE: step 1 eats the only chain.
     inst = m.make_instance(np.array([[2e9], [1e9]]), np.array([1e9, 1e9]), 1, 1)
@@ -572,6 +593,31 @@ def test_cli_simulate_former_power_split_key_exits_2_with_one_error_line(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "tx_power_dbm = 1e6",
+        "noise_psd_dbm_hz = 1e6",
+        "noise_psd_dbm_hz = -1e6",
+        "bandwidth_hz = 1e-300",
+        "carrier_ghz = 1e-300",
+    ],
+)
+def test_cli_simulate_out_of_range_link_budget_exits_2_with_one_error_line(
+    tmp_path, capsys, line
+):
+    # Finite values whose link budget overflows every capacity: the
+    # config refuses them before any cell is solved.
+    cfg_path = tmp_path / "budget.cfg"
+    cfg_path.write_text(f"n_bs = 2\nn_ue = 3\n{line}\n")
+    out = tmp_path / "out"
+    args = ["simulate", "--config", str(cfg_path), "--runs", "1", "--rmax-sweep", "0.5e9"]
+    assert cli.main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "link budget" in err[0]
+    assert not (out / "records.csv").exists()
+
+
 def _instance_text(edit):
     data = instance_to_dict(random_instance(np.random.default_rng(91), 3, 2, 2, 2))
     edit(data)
@@ -634,6 +680,28 @@ def test_cli_solve(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert "x" in payload and "metrics" in payload
     assert payload["n_ue"] == 3
+
+
+NO_BS_CHAIN_INSTANCE = {
+    "n_ue": 2,
+    "n_bs": 0,
+    "n_ue_rf": 1,
+    "n_bs_rf": 1,
+    "capacity_bps": [[], []],
+    "rate_req_bps": [1e9, 1e9],
+    "ue_of_chain": [0, 1],
+    "bs_of_chain": [],
+}
+
+
+@pytest.mark.parametrize("scheme", harness.SCHEMES)
+def test_cli_solve_an_instance_without_bs_chains_associates_nobody(tmp_path, capsys, scheme):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(NO_BS_CHAIN_INSTANCE))
+    assert cli.main(["solve", "--instance", str(inst_path), "--scheme", scheme]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["x"] == [[], []] and payload["z"] == [0, 0]
+    assert payload["metrics"] == {"n_associated": 0, "n_satisfied": 0, "sum_rate_bps": 0.0}
 
 
 def test_cli_solve_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys):

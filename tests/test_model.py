@@ -238,6 +238,32 @@ def test_config_validation():
                 m.ScenarioConfig(**{name: bad})
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"tx_power_dbm": 1e6},
+        {"noise_psd_dbm_hz": 1e6},
+        {"noise_psd_dbm_hz": -1e6},
+        {"bandwidth_hz": 1e-300},
+        {"carrier_ghz": 1e-300},
+    ],
+    ids=lambda field: "{}={}".format(*next(iter(field.items()))),
+)
+def test_config_rejects_a_finite_link_budget_that_overflows(field):
+    # Each value is finite, yet the strongest link's capacity is not
+    # (OverflowError in the dB conversion, or an infinite SNR), so every
+    # sampled capacity would be poisoned as by a non-finite value.
+    with pytest.raises(ValueError, match="link budget"):
+        m.ScenarioConfig(n_bs=2, n_ue=3, **field)
+
+
+def test_config_accepts_zero_transmit_power():
+    # 10 ** (-1e5 / 10) is 0 mW: every capacity is 0, which is valid.
+    cfg = m.ScenarioConfig(n_bs=2, n_ue=3, tx_power_dbm=-1e6)
+    c = m.build_capacity_matrix(m.sample_scenario(cfg), cfg)
+    assert c.shape == (6, 10) and (c == 0.0).all()
+
+
 def test_config_rejects_nonfinite_or_nonpositive_rates():
     nan, inf = float("nan"), float("inf")
     for r_min, r_max in ((0.3e9, nan), (nan, 2e9), (0.3e9, inf), (0.0, 2e9), (-1e9, 2e9)):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import mmwassoc as m
 from mmwassoc import harness, lp, step1, step2flow
-from mmwassoc.instance import solution_from_x
+from mmwassoc.instance import link_weights, solution_from_x
 
 from conftest import (
     literal_step1_best,
@@ -55,6 +55,29 @@ def test_weight_term_rejects_nan():
 def test_weight_term_range(c, r, n):
     w = m.weight_term(c, r, n)
     assert 0.0 < w <= 1.0 / (n + 1)
+
+
+def test_link_weights_equal_the_broadcast_and_the_flat_repeat_form_bit_for_bit():
+    # Two references: each UE chain's requirement broadcast over its row,
+    # and each UE's requirement repeated over its n_ue_rf * n_bc flat
+    # links.  Equal bits mean no LP objective or exact-search score moves.
+    desk = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
+    full = m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg")
+    cells = [harness.build_cell_instance(desk, run, r) for run in range(3) for r in (0.5e9, 4e9)]
+    cells += [harness.build_cell_instance(full, run, r) for run in range(2) for r in (1e9, 8e9)]
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        dims = rng.integers(0, 4, 2).tolist() + rng.integers(1, 3, 2).tolist()
+        cells.append(random_instance(rng, *dims))
+    for inst in cells:
+        n_bc = inst.c.shape[1]
+        got = link_weights(inst)
+        broadcast = m.weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
+        flat = m.weight_term(
+            inst.c.ravel(), inst.rate_req.repeat(inst.n_ue_rf * n_bc), inst.n_ue_rf
+        )
+        assert got.shape == inst.c.shape and got.dtype == np.float64
+        assert got.tobytes() == broadcast.tobytes() == flat.tobytes()
 
 
 # ---------------------------------------------------------------------------
