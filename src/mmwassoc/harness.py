@@ -64,7 +64,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown schemes {sorted(unknown)}; choose from {SCHEMES}")
         if not all(self.base.r_min_bps <= r < np.inf for r in self.r_max_sweep):
             raise ValueError("every sweep value must be finite and >= the base r_min_bps")
-        for name, values in (("schemes", self.schemes), ("r_max_sweep", self.r_max_sweep)):
+        # A cell's seed takes r_max to the bit/s, so sweep values that round
+        # alike repeat: their cells would draw the same scenarios.
+        for name, values in (
+            ("schemes", self.schemes),
+            ("r_max_sweep", [_seed_rate(r) for r in self.r_max_sweep]),
+        ):
             if not values:
                 raise ValueError(f"{name} must not be empty")
             if len(set(values)) < len(values):
@@ -158,9 +163,14 @@ def run_scheme(
     raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
+def _seed_rate(r_max_bps: float) -> int:
+    """r_max as it enters a cell's seed: rounded to the bit/s."""
+    return int(round(r_max_bps))
+
+
 def derive_seed(base_seed: int, run_id: int, r_max_bps: float) -> int:
     """Deterministic per-cell seed; r_max enters as its rounded bit/s value."""
-    ss = np.random.SeedSequence([int(base_seed), int(run_id), int(round(r_max_bps))])
+    ss = np.random.SeedSequence([int(base_seed), int(run_id), _seed_rate(r_max_bps)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -35,8 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-# Absolute slack (bit/s) when comparing aggregate rates to requirements.
-RATE_TOL_BPS = 1e-6
+from .tolerances import RATE_TOL_BPS
 
 ALL_CONSTRAINTS = ("5b", "5c", "5d", "5e", "5f")
 STRUCTURAL_CONSTRAINTS = ("5b", "5c", "5d", "5e")

@@ -80,17 +80,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Reduced-cost / pivot-element significance thresholds.
-_RC_TOL = 1e-9
-_PIV_TOL = 1e-11
-# Ratios within this of the minimum tie; Bland's smallest basic index
-# breaks the tie, so rounding noise in a ratio cannot pick the row.
-_RATIO_TIE = 1e-12
-# A step no longer than this is degenerate; _STALL_LIMIT of them in a row
-# switch pricing to Bland's rule.
-_DEGENERATE_STEP = 1e-12
-# Largest bound violation tolerated in the final point before clipping.
-_FEAS_TOL = 1e-7
+from .tolerances import DEGENERATE_STEP, FEAS_TOL, PIV_TOL, RATIO_TIE, RC_TOL
+
 # Degenerate pivots in a row before falling back to Bland's rule.
 _STALL_LIMIT = 40
 _MAX_PIVOTS = 200_000  # pivot cap; beyond it the solve raises SimplexError
@@ -200,13 +191,13 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         # Improvement per unit step; exactly 0.0 for basic columns.
         np.multiply(obj_row, sign_of, out=gain)
         j = int(gain.argmax())  # Dantzig
-        if gain[j] <= _RC_TOL:
+        if gain[j] <= RC_TOL:
             break
         if iterations >= _MAX_PIVOTS:
             raise SimplexError(f"simplex did not converge within {_MAX_PIVOTS} pivots")
         iterations += 1
         if stall >= _STALL_LIMIT:
-            j = int((gain > _RC_TOL).argmax())  # Bland: smallest index enters
+            j = int((gain > RC_TOL).argmax())  # Bland: smallest index enters
         sign = -1.0 if sign_of[j] < 0 else 1.0
 
         # Entering column: the stored entries, then, in pivot order, each
@@ -228,11 +219,11 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
 
         # Ratio test: basic value i moves as values[i] - t * col[i], down
         # toward 0 or up toward its bound (an infinite bound gives inf).
-        # Rows off the support, or inside the _PIV_TOL band, never block.
+        # Rows off the support, or inside the PIV_TOL band, never block.
         # max(0.0, v) is +0.0 for v == -0.0, as np.maximum(v, 0.0) is.
         ratios = [
-            max(0.0, values[i]) / ci if ci > _PIV_TOL
-            else (ub[basis[i]] - values[i]) / -ci if ci < -_PIV_TOL
+            max(0.0, values[i]) / ci if ci > PIV_TOL
+            else (ub[basis[i]] - values[i]) / -ci if ci < -PIV_TOL
             else math.inf
             for i, ci in zip(support, col)
         ]
@@ -241,7 +232,7 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         t_star = min(t_flip, r_min)
         if not math.isfinite(t_star):
             raise SimplexError("LP is unbounded")
-        stall = stall + 1 if t_star <= _DEGENERATE_STEP else 0
+        stall = stall + 1 if t_star <= DEGENERATE_STEP else 0
 
         for i, ci in zip(support, col):
             values[i] -= t_star * ci
@@ -251,13 +242,13 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
             continue
 
         # Bland: among rows achieving the min ratio, smallest basic index leaves.
-        window = t_star + _RATIO_TIE
+        window = t_star + RATIO_TIE
         r = min((i for i, ratio in zip(support, ratios) if ratio <= window), key=basis.__getitem__)
         leaving = basis[r]
         values[r] = (ub[j] if sign < 0 else 0.0) + sign * t_star
 
         piv = column[r]
-        if abs(piv) < _PIV_TOL:
+        if abs(piv) < PIV_TOL:
             raise SimplexError("numerically singular pivot")
         leaves_at_upper = sign * piv < 0
 
@@ -291,7 +282,7 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     x_full[:n] = np.where(sign_of[:n] < 0, ub_struct, 0.0)
     x_full[basis] = values
     x_struct = x_full[:n]
-    if not ((x_struct >= -_FEAS_TOL) & (x_struct <= ub_struct + _FEAS_TOL)).all():
+    if not ((x_struct >= -FEAS_TOL) & (x_struct <= ub_struct + FEAS_TOL)).all():
         raise SimplexError("final point violates its bounds beyond tolerance")
     x_struct = x_struct.clip(0.0, ub_struct)
     return LpSolution(x=x_struct, objective=float(c @ x_struct), iterations=iterations)

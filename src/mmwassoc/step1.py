@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 from operator import add, index
 
@@ -40,10 +41,9 @@ import numpy as np
 from . import lp
 from .instance import AssociationInstance, AssociationSolution, link_weights, objective_step1
 from .instance import solution_from_x
+from .tolerances import FEAS_TOL, FRACTION_TOL, SUPPORT_EPS, TIE_EPS
 
 DEFAULT_NODE_BUDGET = 2_000_000
-SUPPORT_EPS = 1e-9
-_TIE_EPS = 1e-12
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -64,7 +64,7 @@ class FractionalSolution:
 
     def __post_init__(self) -> None:
         for arr in (self.x_frac, self.z_frac):
-            if not ((arr >= -1e-9) & (arr <= 1 + 1e-9)).all():  # NaN fails too
+            if not ((arr >= -FRACTION_TOL) & (arr <= 1 + FRACTION_TOL)).all():  # NaN fails too
                 raise ValueError("fractional values must lie in [0, 1]")
 
 
@@ -124,7 +124,7 @@ def solve_step1_lp(inst: AssociationInstance) -> FractionalSolution:
     res = lp.solve_lp_max(objective, a_ub, b_ub, np.ones(nx + inst.n_ue))
     lhs = np.bincount(a_ub.rows, weights=a_ub.values * res.x[a_ub.cols], minlength=b_ub.size)
     residual = lhs - b_ub
-    if not residual.max(initial=0.0) <= 1e-7:  # a NaN residual fails too
+    if not residual.max(initial=0.0) <= FEAS_TOL:  # a NaN residual fails too
         raise lp.SimplexError("relaxed constraints violated beyond tolerance")
     return FractionalSolution(
         x_frac=res.x[:nx].reshape(n_uc, n_bc),
@@ -244,8 +244,8 @@ def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, n_bc: int, 
     Python lists, since indexing a numpy array boxes a new scalar on
     every read.  Dropping link d leaves total - caps[d], and IEEE
     subtraction is monotone, so testing the weakest link tests every d.
-    The sums add the links in order; CPython 3.12 and later compensate a
-    float sum of three or more terms, which only n_ue_rf > 2 reaches.
+    The float sums fold left to right with reduce, since the builtin sum
+    compensates them on CPython 3.12 and later.
     """
     # Flat offsets i * n_bc of UE u's chains i, from the instance's chain
     # layout; with no BS chains there is no BS subset, so no candidate.
@@ -258,10 +258,10 @@ def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, n_bc: int, 
             for row_perm in permutations(rows, k):
                 links = tuple(map(add, row_perm, bs_subset))
                 caps = [c[f] for f in links]
-                total = sum(caps)
+                total = reduce(add, caps)
                 if total < r_u or total - min(caps) >= r_u:
                     continue  # short, or dominated: a strict subset already satisfies
-                score = 1.0 - sum(weights[f] for f in links)
+                score = 1.0 - reduce(add, map(weights.__getitem__, links))
                 if not best or score > best[0][0]:
                     best = [(score, mask, links)]
                 elif score == best[0][0]:
@@ -328,7 +328,7 @@ def solve_step1_exact(
     admissible, since a real completion takes chains disjoint from the
     used ones, so its per-BS counts add up within n_bs_rf and it scores
     the same in the table.  A node is cut when its score plus its entry
-    falls below the incumbent by more than _TIE_EPS, which covers the
+    falls below the incumbent by more than TIE_EPS, which covers the
     round-off: the table and the search add the same n_ue or fewer
     scores below 1 in different orders, so they differ by about 1e-13 at
     n_ue = 30.  A cut subtree then holds only leaves that the search
@@ -396,12 +396,12 @@ def solve_step1_exact(
         if nodes > node_budget:
             raise NodeBudgetExceeded(node_budget, best_solution())
         if u == n_ue:
-            if score > best_score + _TIE_EPS:
+            if score > best_score + TIE_EPS:
                 best_score, best_links = score, tuple(stack)
-            elif score > best_score - _TIE_EPS and _lex_less(stack, best_links):
+            elif score > best_score - TIE_EPS and _lex_less(stack, best_links):
                 best_links = tuple(stack)
             return
-        if score + table[u][cell] < best_score - _TIE_EPS:
+        if score + table[u][cell] < best_score - TIE_EPS:
             return
         for (cand_score, mask, links), step in zip(candidates[u], steps[u]):
             if mask & used_mask:

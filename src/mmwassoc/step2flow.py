@@ -49,6 +49,7 @@ import numpy as np
 from . import lp
 from .instance import AssociationInstance, AssociationSolution, _check_shape, complete_solution
 from .instance import empty_solution
+from .tolerances import INTEGRALITY_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +339,7 @@ def relaxed_step2_lp(res: ResidualInstance) -> tuple[np.ndarray, float]:
     return sol.x.reshape(n_rows, n_cols), sol.objective
 
 
-def verify_integrality(x_frac: np.ndarray, tol: float = 1e-6) -> bool:
+def verify_integrality(x_frac: np.ndarray, tol: float = INTEGRALITY_TOL) -> bool:
     """True when every entry is within tol of 0 or 1 (an empty x is integral)."""
     x = np.asarray(x_frac, dtype=float)
     return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= tol))

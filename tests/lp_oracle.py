@@ -19,18 +19,8 @@ import math
 
 import numpy as np
 
-from mmwassoc.lp import (
-    _DEGENERATE_STEP,
-    _FEAS_TOL,
-    _MAX_PIVOTS,
-    _PIV_TOL,
-    _RATIO_TIE,
-    _RC_TOL,
-    _STALL_LIMIT,
-    LpSolution,
-    SimplexError,
-    SparseRows,
-)
+from mmwassoc.lp import _MAX_PIVOTS, _STALL_LIMIT, LpSolution, SimplexError, SparseRows
+from mmwassoc.tolerances import DEGENERATE_STEP, FEAS_TOL, PIV_TOL, RATIO_TIE, RC_TOL
 
 
 def sparse_rows(a) -> SparseRows:
@@ -80,13 +70,13 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         # Improvement per unit step; exactly 0.0 for basic columns.
         gain = np.where(at_upper, -obj_row, obj_row)
         j = int(gain.argmax())  # Dantzig
-        if gain[j] <= _RC_TOL:
+        if gain[j] <= RC_TOL:
             break
         if iterations >= _MAX_PIVOTS:
             raise SimplexError(f"simplex did not converge within {_MAX_PIVOTS} pivots")
         iterations += 1
         if stall >= _STALL_LIMIT:
-            j = int((gain > _RC_TOL).argmax())  # Bland: smallest index enters
+            j = int((gain > RC_TOL).argmax())  # Bland: smallest index enters
         sign = -1.0 if at_upper[j] else 1.0
         support = np.flatnonzero(tableau[:, j])
         col = (sign * tableau[support, j]).tolist()
@@ -94,11 +84,11 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
 
         # Ratio test: basic value i moves as values[i] - t * col[i], down
         # toward 0 or up toward its bound (an infinite bound gives inf).
-        # Rows off the support, or inside the _PIV_TOL band, never block.
+        # Rows off the support, or inside the PIV_TOL band, never block.
         # max(0.0, v) is +0.0 for v == -0.0, as np.maximum(v, 0.0) is.
         ratios = [
-            max(0.0, values[i]) / ci if ci > _PIV_TOL
-            else (ub_basic[i] - values[i]) / -ci if ci < -_PIV_TOL
+            max(0.0, values[i]) / ci if ci > PIV_TOL
+            else (ub_basic[i] - values[i]) / -ci if ci < -PIV_TOL
             else math.inf
             for i, ci in zip(support, col)
         ]
@@ -107,7 +97,7 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         t_star = min(t_flip, r_min)
         if not math.isfinite(t_star):
             raise SimplexError("LP is unbounded")
-        stall = stall + 1 if t_star <= _DEGENERATE_STEP else 0
+        stall = stall + 1 if t_star <= DEGENERATE_STEP else 0
 
         for i, ci in zip(support, col):
             values[i] -= t_star * ci
@@ -117,13 +107,13 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
             continue
 
         # Bland: among rows achieving the min ratio, smallest basic index leaves.
-        window = t_star + _RATIO_TIE
+        window = t_star + RATIO_TIE
         r = min((i for i, ratio in zip(support, ratios) if ratio <= window), key=basis.__getitem__)
         leaving = basis[r]
         values[r] = (ub[j] if at_upper[j] else 0.0) + sign * t_star
 
         piv = tableau[r, j]
-        if abs(piv) < _PIV_TOL:
+        if abs(piv) < PIV_TOL:
             raise SimplexError("numerically singular pivot")
         leaves_at_upper = sign * piv < 0
         pivot_row = tableau[r]
@@ -143,7 +133,7 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     x_full[~np.isfinite(x_full)] = 0.0
     x_full[basis] = values
     x_struct = x_full[:n]
-    if np.any(x_struct < -_FEAS_TOL) or np.any(x_struct > ub_struct + _FEAS_TOL):
+    if np.any(x_struct < -FEAS_TOL) or np.any(x_struct > ub_struct + FEAS_TOL):
         raise SimplexError("final point violates its bounds beyond tolerance")
     x_struct = np.clip(x_struct, 0.0, ub_struct)
     return LpSolution(x=x_struct, objective=float(c @ x_struct), iterations=iterations)

@@ -174,6 +174,12 @@ def test_spec_rejects_repeated_schemes_and_sweep_values():
         tiny_spec(schemes=("max-snr", "max-snr"))
     with pytest.raises(ValueError, match="r_max_sweep"):
         tiny_spec(r_max_sweep=(1e9, 1e9))
+    # A cell's seed takes r_max rounded to the bit/s, so 1e9 and 1e9 + 0.3
+    # would draw the same scenarios: they repeat a value too.
+    assert harness.derive_seed(0, 0, 1e9) == harness.derive_seed(0, 0, 1e9 + 0.3)
+    with pytest.raises(ValueError, match="r_max_sweep must not repeat a value"):
+        tiny_spec(r_max_sweep=(1e9, 1e9 + 0.3))
+    assert tiny_spec(r_max_sweep=(1e9, 1e9 + 1)).r_max_sweep == (1e9, 1e9 + 1)
 
 
 def test_spec_rejects_empty_schemes_and_sweep():
@@ -481,6 +487,7 @@ def test_cli_simulate_json_format(tmp_path):
     "flag, value",
     [
         ("--rmax-sweep", "1e9,1e9"),
+        ("--rmax-sweep", "1e9,1000000000.3"),  # one seed: r_max enters it to the bit/s
         ("--runs", "0"),
         ("--rmax-sweep", "abc"),
         ("--schemes", ","),

@@ -57,7 +57,7 @@ def test_degenerate_assignment_polytope():
 
 
 def test_entry_inside_pivot_band_never_blocks_the_ratio_test():
-    # Row 0's entry 1e-13 lies within _PIV_TOL of zero, so its ratio
+    # Row 0's entry 1e-13 lies within PIV_TOL of zero, so its ratio
     # 0 / 1e-13 must not limit the step (a pivot on it would be singular):
     # row 1 stops x at 1 before the bound flip at 2.
     got = lp.solve_lp_max([1.0], sparse_rows([[1e-13], [1.0]]), [0.0, 1.0], [2.0])
@@ -400,7 +400,7 @@ def _branches_taken(lps):
     at = {}
     for key, text in [
         ("flip", "sign_of[j] = -sign"),
-        ("bland", "(gain > _RC_TOL).argmax()"),
+        ("bland", "(gain > RC_TOL).argmax()"),
         ("growth", "blocks.append("),
         ("tie", "leaving = basis[r]"),
     ]:

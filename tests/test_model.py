@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 from dataclasses import replace
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mmwassoc as m
+from mmwassoc import harness
 from mmwassoc.model import DISTANCE_FLOOR_M, _grid_shape
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -407,6 +409,27 @@ def test_capacity_matrix_bit_exact_reproducible():
     a = m.build_capacity_matrix(m.sample_scenario(cfg), cfg)
     b = m.build_capacity_matrix(m.sample_scenario(cfg), cfg)
     np.testing.assert_array_equal(a, b)
+
+
+# (config, r_max, sha256 of the capacity matrix's bytes) of run 0's cell,
+# sampled as a sweep samples it.  They pin the exact bits of the beam
+# gains, path gains and capacities, so a rewrite of any of them (a cos/sin
+# beam gain, say) must reproduce these; they hold for this platform's
+# numpy and libm.
+CAPACITY_PINS = [
+    ("desk.cfg", 0.5e9, "df3f3dbdca35fcc6d1f8f84ba155901729f86fbb8ccc1b578feb7ddc9223000f"),
+    ("desk.cfg", 8e9, "591180170d1b66fe0de2884ccb1fba223998c859a5d90d8341ce70a5c436aa38"),
+    ("full.cfg", 0.5e9, "2ea479162f4b04636e53eeb2efe4a4aa16ab8cb2bb050b926d57f513a05147b3"),
+    ("full.cfg", 8e9, "f9987a0270db25e7c143d5ae406c8b55c52496409d662e3998464185f51066b8"),
+]
+
+
+@pytest.mark.parametrize("config, r_max, sha256", CAPACITY_PINS)
+def test_capacity_matrix_reproduces_pinned_bits(config, r_max, sha256):
+    base = m.ScenarioConfig.from_config_file(CONFIGS / config)
+    cfg = replace(base, r_max_bps=r_max, seed=harness.derive_seed(base.seed, 0, r_max))
+    cm = m.build_capacity_matrix(m.sample_scenario(cfg), cfg)
+    assert hashlib.sha256(cm.tobytes()).hexdigest() == sha256
 
 
 def test_capacity_matrix_perfect_alignment_dominates_perturbed():

@@ -1,5 +1,7 @@
+import builtins
 import gc
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -399,6 +401,22 @@ def test_count_table_is_between_the_optimum_and_the_knapsack():
         assert table[0][0] >= optimum - 1e-9, f"trial {trial}"
         tighter += table[0][0] < knapsack[0][n_bc] - 1e-9
     assert tighter > 0  # the counts know which BS a chain belongs to
+
+
+def test_candidate_sums_fold_left_to_right_whatever_the_builtin_sum(monkeypatch):
+    # CPython 3.12 and later compensate a float sum: sum([2**53, 1.0, 1.0])
+    # is 2**53 + 2 there and 2**53 before.  Left to right the three links
+    # reach 2**53 only, short of r_u = 2**53 + 2, so UE 0 has no candidate
+    # on every interpreter, even with a compensating sum in step1's globals.
+    def compensated_sum(values, start=0):
+        values = list(values)
+        if any(isinstance(v, float) for v in values):
+            return math.fsum([start, *values])
+        return builtins.sum(values, start)
+
+    monkeypatch.setattr(step1, "sum", compensated_sum, raising=False)
+    c = [2.0**53, 0, 0, 0, 1.0, 0, 0, 0, 1.0]
+    assert step1._ue_candidates(c, [0.1] * 9, 2.0**53 + 2, 3, 3, 0) == []
 
 
 # ---------------------------------------------------------------------------
