@@ -74,6 +74,16 @@ class AssociationInstance:
             raise ValueError("rate requirements must be finite and > 0")
         if not (np.isfinite(self.c) & (self.c >= 0)).all():
             raise ValueError("capacities must be finite and >= 0")
+        # Finite values can still overflow what the solvers compute from
+        # them: the 5f coefficients c_ij / r_u, and sums of capacities,
+        # each at most the total.
+        with np.errstate(over="ignore"):
+            top_ratio = (self.c / self.rate_req[self.ue_of_chain][:, None]).max(initial=0.0)
+            total = self.c.sum()
+        if not (np.isfinite(top_ratio) and np.isfinite(total)):
+            raise ValueError(
+                "capacities out of range: the total capacity and every c_ij / r_u must be finite"
+            )
 
     @property
     def n_ue(self) -> int:

@@ -90,16 +90,25 @@ class ScenarioConfig:
             raise ValueError("seed must be a non-negative integer")
         # Finite dB values can still overflow the link budget and poison
         # every capacity: check the strongest link any scenario can hold,
-        # at the distance floor with full beam gains.
+        # at the distance floor with full beam gains.  It bounds every link
+        # and r_min_bps every requirement, so its ratio to r_min_bps bounds
+        # every c_ij / r_u, and its product with the number of chain pairs
+        # every sum of capacities; each must be finite too.
+        n_pairs = self.n_ue_chains * self.n_bs_chains
         try:
             with np.errstate(all="ignore"):
-                peak = link_capacity(_path_gain(DISTANCE_FLOOR_M, self.carrier_ghz), 1.0, 1.0, self)
+                peak = float(
+                    link_capacity(_path_gain(DISTANCE_FLOOR_M, self.carrier_ghz), 1.0, 1.0, self)
+                )
+            in_range = all(map(math.isfinite, (peak, peak / self.r_min_bps, peak * n_pairs)))
         except OverflowError:
-            peak = math.inf
-        if not math.isfinite(peak):
+            peak, in_range = math.inf, False
+        if not in_range:
             raise ValueError(
                 "the link budget (tx_power_dbm, noise_psd_dbm_hz, bandwidth_hz, carrier_ghz) "
-                f"is out of range: the strongest link's capacity would be {peak}"
+                f"is out of range: the strongest link's capacity would be {peak} bit/s, "
+                f"and it, its ratio to r_min_bps and its sum over {n_pairs} chain pairs "
+                "must be finite"
             )
 
     @property

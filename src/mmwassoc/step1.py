@@ -19,7 +19,9 @@ Solvers:
   * solve_step1_exact: depth-first branch and bound over per-UE chain
     subsets, pruned by one table over each BS's used-chain count,
     globally optimal, guarded by a node budget, and started from the
-    rounded relaxation scored by objective_step1.
+    rounded relaxation scored by objective_step1.  Each subset is one
+    record that carries its own step in the table's index, read off the
+    instance's chain layout, and the search path is one slot per UE.
   * solve_step1_lp: box relaxation of constraints 5b, 5c, 5e and 5f,
     solved by the in-package bounded-variable simplex; an upper bound on
     the exact optimum.  The per-BS budget 5d needs no rows: 5b implies
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from operator import add, index
 
 import numpy as np
@@ -228,33 +230,37 @@ def round_solution(frac: FractionalSolution, inst: AssociationInstance) -> Assoc
 # ---------------------------------------------------------------------------
 
 
-def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, n_bc: int, u: int):
-    """Minimal satisfying link sets for UE u, best score first.
+def _ue_candidates(c: list, weights: list, r_u: float, rows: list, places: list):
+    """Minimal satisfying link sets of one UE, best score first.
 
-    A candidate pairs k distinct chains of u with k distinct BS chains
-    (k <= n_ue_rf) so the capacities sum to at least r_u.  Two
-    exactness-preserving filters shrink the list: sets with a satisfying
-    strict subset are dropped (every link carries a positive penalty, so
-    the subset always scores higher), and for each BS-chain set only the
-    top-scoring pairings survive (equal-score ties are all kept so the
-    lexicographic tie-break stays exact).  Returns (score, bs_mask,
-    links) tuples, each link (i, j) as its flat index i * n_bc + j in x.
+    A candidate pairs k distinct chains of the UE with k distinct BS
+    chains (k <= the UE's chain count) so the capacities sum to at least
+    r_u.  Two exactness-preserving filters shrink the list: sets with a
+    satisfying strict subset are dropped (every link carries a positive
+    penalty, so the subset always scores higher), and for each BS-chain
+    set only the top-scoring pairings survive (equal-score ties are all
+    kept so the lexicographic tie-break stays exact).  Returns one
+    (score, bs_mask, links, step) record per candidate: each link (i, j)
+    is its flat index i * n_bc + j in x, and step is the sum of the
+    candidate's BS chains' places, its per-BS chain counts flattened as
+    _count_table indexes them.
 
-    c and weights are the capacities and link weights as flat row-major
-    Python lists, since indexing a numpy array boxes a new scalar on
-    every read.  Dropping link d leaves total - caps[d], and IEEE
-    subtraction is monotone, so testing the weakest link tests every d.
-    The float sums fold left to right with reduce, since the builtin sum
-    compensates them on CPython 3.12 and later.
+    rows holds the flat offsets i * n_bc of the UE's chains i, and
+    places[j] the place value of BS chain j; with no BS chains there is
+    no BS subset, so no candidate.  c and weights are the capacities and
+    link weights as flat row-major Python lists, since indexing a numpy
+    array boxes a new scalar on every read.  Dropping link d leaves
+    total - caps[d], and IEEE subtraction is monotone, so testing the
+    weakest link tests every d.  The float sums fold left to right with
+    reduce, since the builtin sum compensates them on CPython 3.12 and
+    later; the builtin sum adds only the ints of masks and steps.
     """
-    # Flat offsets i * n_bc of UE u's chains i, from the instance's chain
-    # layout; with no BS chains there is no BS subset, so no candidate.
-    rows = [i * n_bc for i in range(u * n_ue_rf, (u + 1) * n_ue_rf)]
     out = []
-    for k in range(1, n_ue_rf + 1):
-        for bs_subset in combinations(range(n_bc), k):
+    for k in range(1, len(rows) + 1):
+        for bs_subset in combinations(range(len(places)), k):
             mask = sum(1 << j for j in bs_subset)
-            best: list[tuple[float, int, tuple]] = []
+            step = sum(places[j] for j in bs_subset)
+            best: list[tuple[float, int, tuple, int]] = []
             for row_perm in permutations(rows, k):
                 links = tuple(map(add, row_perm, bs_subset))
                 caps = [c[f] for f in links]
@@ -263,16 +269,16 @@ def _ue_candidates(c: list, weights: list, r_u: float, n_ue_rf: int, n_bc: int, 
                     continue  # short, or dominated: a strict subset already satisfies
                 score = 1.0 - reduce(add, map(weights.__getitem__, links))
                 if not best or score > best[0][0]:
-                    best = [(score, mask, links)]
+                    best = [(score, mask, links, step)]
                 elif score == best[0][0]:
-                    best.append((score, mask, links))
+                    best.append((score, mask, links, step))
             out.extend(best)
     out.sort(key=lambda t: -t[0])
     return out
 
 
-def _count_table(candidates: list, n_bs: int, n_bs_rf: int) -> tuple[list, list]:
-    """Completion bounds over per-BS used-chain counts, and each candidate's step.
+def _count_table(candidates: list, n_bs: int, n_bs_rf: int) -> list:
+    """Completion bounds over per-BS used-chain counts.
 
     table[u][k] is the best score UEs u.. can add when k holds the number
     of used chains at each BS, flattened in base n_bs_rf + 1 (BS 0 most
@@ -280,28 +286,22 @@ def _count_table(candidates: list, n_bs: int, n_bs_rf: int) -> tuple[list, list]
 
         table[u][k] = max(table[u+1][k], s + table[u+1][k + d] for k + d <= n_bs_rf),
 
-    over UE u's candidates, d being a candidate's per-BS chain counts and s
-    the best score among u's candidates with those counts.  steps[u][i] is
-    candidate i's d, flattened the same way, so a node's index advances by
-    addition.
+    over UE u's candidates, d being a candidate's per-BS chain counts
+    (its step, unflattened) and s the best score among u's candidates
+    with that step.
     """
-    base, chains_of_bs = n_bs_rf + 1, (1 << n_bs_rf) - 1
-    table, steps = [np.zeros((base,) * n_bs)], []
+    base = n_bs_rf + 1
+    table = [np.zeros((base,) * n_bs)]
     for cands in reversed(candidates):
         rest, row = table[-1], table[-1].copy()
-        counts = [
-            tuple((mask >> b * n_bs_rf & chains_of_bs).bit_count() for b in range(n_bs))
-            for _, mask, _ in cands
-        ]
-        # cands run best first, so reversed the best of each d is written last.
-        best_d = {d: cand[0] for cand, d in zip(reversed(cands), reversed(counts))}
-        for d, score in best_d.items():
+        # cands run best first, so reversed the best of each step is written last.
+        best_of_step = {step: score for score, _, _, step in reversed(cands)}
+        for step, score in best_of_step.items():
+            d = np.unravel_index(step, row.shape)
             room = row[tuple(slice(base - k) for k in d)]  # entries k with k + d <= n_bs_rf
             np.maximum(room, score + rest[tuple(slice(k, None) for k in d)], out=room)
-        step_of = {d: int(np.ravel_multi_index(d, row.shape)) for d in best_d}
-        steps.append([step_of[d] for d in counts])
         table.append(row)
-    return [t.ravel().tolist() for t in reversed(table)], steps[::-1]
+    return [t.ravel().tolist() for t in reversed(table)]
 
 
 def _lex_less(links_a, links_b) -> bool:
@@ -353,12 +353,18 @@ def solve_step1_exact(
 
     The capacities and link weights (instance.link_weights) are read
     once per solve as flat row-major Python lists, so every candidate
-    score, table entry and search sum is a plain float.  Throughout the
-    search a link (i, j) is its flat index i * n_bc + j in x:
-    candidates, the stack of links and the incumbent hold ints, and the
-    incumbent's x is written in one assignment.  A node's index into the
-    table, cell, is its per-BS used-chain counts flattened as in
-    _count_table, and each candidate adds its precomputed step to it.
+    score, table entry and search sum is a plain float.  So is the chain
+    layout: each UE's flat row offsets come from inst.ue_of_chain, and
+    each BS chain's place value in the table index, (n_bs_rf + 1) **
+    (n_bs - 1 - b) for its BS b, from inst.bs_of_chain.  Throughout the
+    search a link (i, j) is its flat index i * n_bc + j in x, and each
+    candidate is one (score, bs_mask, links, step) record.  A node's
+    index into the table, cell, is its per-BS used-chain counts
+    flattened as in _count_table, and each candidate adds its step to
+    it.  The path holds one slot per UE, chosen[u] being the links of
+    u's candidate or empty when u is left out; it is flattened only at a
+    leaf that improves on the incumbent or ties it, and the incumbent's
+    x is written in one assignment.
     """
     if index(node_budget) < 1:  # as ExperimentSpec rejects exact_node_budget
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
@@ -376,14 +382,16 @@ def solve_step1_exact(
     if max(per_ue_candidates, (inst.n_bs_rf + 1) ** inst.n_bs) * n_ue > node_budget:
         raise NodeBudgetExceeded(node_budget, seed)
 
-    candidates = [_ue_candidates(c, weights, r, n_ue_rf, n_bc, u) for u, r in enumerate(rate_req)]
+    rows = [(np.flatnonzero(inst.ue_of_chain == u) * n_bc).tolist() for u in range(n_ue)]
+    places = [(inst.n_bs_rf + 1) ** (inst.n_bs - 1 - b) for b in inst.bs_of_chain.tolist()]
+    candidates = [_ue_candidates(c, weights, r, rows[u], places) for u, r in enumerate(rate_req)]
 
-    table, steps = _count_table(candidates, inst.n_bs, inst.n_bs_rf)
+    table = _count_table(candidates, inst.n_bs, inst.n_bs_rf)
 
     best_score = objective_step1(inst, seed)
     best_links = tuple(np.flatnonzero(seed.x).tolist())
     nodes = 0
-    stack: list[int] = []
+    chosen: list[tuple] = [()] * n_ue
 
     def best_solution() -> AssociationSolution:
         x = np.zeros(inst.c.size, dtype=int)
@@ -396,19 +404,20 @@ def solve_step1_exact(
         if nodes > node_budget:
             raise NodeBudgetExceeded(node_budget, best_solution())
         if u == n_ue:
-            if score > best_score + TIE_EPS:
-                best_score, best_links = score, tuple(stack)
-            elif score > best_score - TIE_EPS and _lex_less(stack, best_links):
-                best_links = tuple(stack)
+            if score > best_score - TIE_EPS:  # an improvement or a tie
+                links = tuple(chain.from_iterable(chosen))
+                if score > best_score + TIE_EPS:
+                    best_score, best_links = score, links
+                elif _lex_less(links, best_links):
+                    best_links = links
             return
         if score + table[u][cell] < best_score - TIE_EPS:
             return
-        for (cand_score, mask, links), step in zip(candidates[u], steps[u]):
-            if mask & used_mask:
-                continue
-            stack.extend(links)
-            dfs(u + 1, used_mask | mask, cell + step, score + cand_score)
-            del stack[-len(links) :]
+        for cand_score, mask, links, step in candidates[u]:
+            if not mask & used_mask:
+                chosen[u] = links
+                dfs(u + 1, used_mask | mask, cell + step, score + cand_score)
+        chosen[u] = ()
         dfs(u + 1, used_mask, cell, score)  # leave u unassociated
 
     try:

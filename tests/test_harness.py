@@ -1,6 +1,10 @@
+import builtins
 import csv
 import hashlib
+import importlib
 import json
+import pkgutil
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -372,6 +376,38 @@ def test_cli_solve_output_reproduces_pinned_bytes(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("config, run_id, r_max", [("desk.cfg", 1, 2e9), ("full.cfg", 1, 8e9)])
+def test_no_float_sum_goes_through_the_builtin_sum(
+    tmp_path, capsys, monkeypatch, config, run_id, r_max
+):
+    # The README's determinism claim: CPython 3.12 and later compensate a
+    # float sum in the builtin sum, so no float may reach it.  Every
+    # scheme runs, through run_scheme and `mmwassoc solve`, with each
+    # module's sum shadowed by one that refuses a float term.
+    int_sums = []
+
+    def int_only_sum(values, start=0):
+        values = list(values)
+        assert not any(isinstance(v, float) for v in [start, *values]), "a float sum"
+        int_sums.append(len(values))
+        return builtins.sum(values, start)
+
+    for info in pkgutil.iter_modules(m.__path__):
+        if info.name != "__main__":  # which runs the CLI when imported
+            module = importlib.import_module(f"mmwassoc.{info.name}")
+            monkeypatch.setattr(module, "sum", int_only_sum, raising=False)
+    inst = harness.build_cell_instance(
+        m.ScenarioConfig.from_config_file(CONFIGS / config), run_id, r_max
+    )
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(instance_to_dict(inst)))
+    for scheme in harness.SCHEMES:
+        harness.run_scheme(inst, scheme)
+        assert cli.main(["solve", "--instance", str(inst_path), "--scheme", scheme]) == 0
+    capsys.readouterr()
+    assert int_sums  # the exact search's masks, steps and guard went through it
+
+
 def test_emit_json(tmp_path):
     records = harness.run_experiment(tiny_spec(n_runs=1))
     rec_path, agg_path = harness.emit_results(records, tmp_path, fmt="json")
@@ -608,13 +644,18 @@ def test_cli_simulate_former_power_split_key_exits_2_with_one_error_line(tmp_pat
         "noise_psd_dbm_hz = -1e6",
         "bandwidth_hz = 1e-300",
         "carrier_ghz = 1e-300",
+        pytest.param(
+            "bandwidth_hz = 1e300\ntx_power_dbm = 2900\nr_min_bps = 1e-10", id="ratio-to-r_min"
+        ),
     ],
 )
 def test_cli_simulate_out_of_range_link_budget_exits_2_with_one_error_line(
     tmp_path, capsys, line
 ):
     # Finite values whose link budget overflows every capacity: the
-    # config refuses them before any cell is solved.
+    # config refuses them before any cell is solved.  The last one's peak
+    # capacity (about 7.6e300 bit/s) is finite, but its ratio to r_min_bps
+    # is not; it once raised a traceback mid-sweep.
     cfg_path = tmp_path / "budget.cfg"
     cfg_path.write_text(f"n_bs = 2\nn_ue = 3\n{line}\n")
     out = tmp_path / "out"
@@ -623,6 +664,49 @@ def test_cli_simulate_out_of_range_link_budget_exits_2_with_one_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "link budget" in err[0]
     assert not (out / "records.csv").exists()
+
+
+def _overflow_instance(c, r):
+    return {
+        "n_ue": len(c), "n_bs": len(c[0]), "n_ue_rf": 1, "n_bs_rf": 1,
+        "capacity_bps": c, "rate_req_bps": r,
+        "ue_of_chain": list(range(len(c))), "bs_of_chain": list(range(len(c[0]))),
+    }
+
+
+@pytest.mark.parametrize("scheme", harness.SCHEMES)
+@pytest.mark.parametrize(
+    "c, r",
+    [([[1e308]], [1e-300]), ([[1e308, 0.0], [0.0, 1e308]], [1.0, 1.0])],
+    ids=["ratio-overflows", "total-overflows"],
+)
+def test_cli_solve_refuses_capacities_whose_ratio_or_total_overflows(
+    tmp_path, capsys, scheme, c, r
+):
+    # Finite values whose c_ij / r_u or total capacity overflows float64
+    # once failed inside the LP or printed an infinite sum rate.
+    inst_path, out = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst_path.write_text(json.dumps(_overflow_instance(c, r)))
+    args = ["solve", "--instance", str(inst_path), "--scheme", scheme, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "out of range" in err[0]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("scheme", harness.SCHEMES)
+def test_cli_solve_accepts_large_capacities_with_finite_ratios(tmp_path, capsys, scheme):
+    inst_path = tmp_path / "inst.json"
+    data = _overflow_instance([[1e300, 0.0], [0.0, 1e300]], [1e-5, 1e-5])
+    inst_path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["solve", "--instance", str(inst_path), "--scheme", scheme]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["x"] == [[1, 0], [0, 1]] and payload["metrics"]["sum_rate_bps"] == 2e300
 
 
 def _instance_text(edit):

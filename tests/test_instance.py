@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -74,6 +75,20 @@ def test_instance_rejects_nonfinite_rates():
         data["rate_req_bps"][1] = bad
         with pytest.raises(ValueError, match="finite"):
             instance_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "c, r",
+    [([[1e308]], [1e-300]), ([[1e308, 0.0], [0.0, 1e308]], [1.0, 1.0])],
+    ids=["ratio-overflows", "total-overflows"],
+)
+def test_instance_rejects_capacities_whose_ratio_or_total_overflows(c, r):
+    # Each value is finite, but c_ij / r_u or the total capacity is not;
+    # the check says so without an overflow warning of its own.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="capacities out of range"):
+            m.make_instance(c, r, 1, 1)
 
 
 def test_instance_rejects_rf_counts_below_one():

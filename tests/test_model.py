@@ -248,15 +248,25 @@ def test_config_validation():
         {"noise_psd_dbm_hz": -1e6},
         {"bandwidth_hz": 1e-300},
         {"carrier_ghz": 1e-300},
+        {"bandwidth_hz": 1e300, "tx_power_dbm": 2900.0, "r_min_bps": 1e-10, "r_max_bps": 1e-9},
+        {"bandwidth_hz": 1e306, "tx_power_dbm": 2950.0},
     ],
     ids=lambda field: "{}={}".format(*next(iter(field.items()))),
 )
 def test_config_rejects_a_finite_link_budget_that_overflows(field):
     # Each value is finite, yet the strongest link's capacity is not
     # (OverflowError in the dB conversion, or an infinite SNR), so every
-    # sampled capacity would be poisoned as by a non-finite value.
+    # sampled capacity would be poisoned as by a non-finite value.  In the
+    # last two cases the capacity is finite, but its ratio to r_min_bps
+    # (which bounds every c_ij / r_u) or its sum over the 60 chain pairs
+    # (which bounds every sum of capacities) is not.
     with pytest.raises(ValueError, match="link budget"):
         m.ScenarioConfig(n_bs=2, n_ue=3, **field)
+
+
+def test_config_accepts_that_peak_over_a_single_chain_pair():
+    # The last case above is refused for its 60 chain pairs, not its peak.
+    m.ScenarioConfig(n_bs=1, n_ue=1, n_bs_rf=1, n_ue_rf=1, bandwidth_hz=1e306, tx_power_dbm=2950.0)
 
 
 def test_config_accepts_zero_transmit_power():

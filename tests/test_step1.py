@@ -284,6 +284,125 @@ def test_exact_search_leaves_no_reference_cycle():
         gc.enable()
 
 
+# The north star's desk cells: config seed 0, runs 0-29 x four r_max.
+NORTH_STAR_DESK_CELLS = [
+    (run_id, r_max) for run_id in range(30) for r_max in (0.5e9, 1e9, 2e9, 4e9)
+]
+# sha256 over the step-1 x of every north-star desk cell at the default
+# node budget, in cell order, recorded with the search that kept a stack
+# of links and a list of table steps beside its candidates.
+NORTH_STAR_EXACT_X_SHA256 = "9d1dbf3188b9e4194f7a873d4119245142937b18f0fde8ac6ce941f826f11b82"
+# The same cells at node_budget=5_000: sha256 over each cell's overrun
+# flag and x (the solution, or the incumbent NodeBudgetExceeded carries),
+# and the number of cells that overran.
+NORTH_STAR_OVERRUN_SHA256 = "4ff39c5790d1a715c13202d9b0f6858946a8e654144bf976599f0804c80878b6"
+NORTH_STAR_OVERRUNS = 43
+
+
+@pytest.fixture(scope="module")
+def north_star_desk_instances():
+    return [_desk_cell(run_id, r_max) for run_id, r_max in NORTH_STAR_DESK_CELLS]
+
+
+def test_exact_reproduces_the_north_star_desk_cells(north_star_desk_instances):
+    xs = [m.solve_step1_exact(inst).x for inst in north_star_desk_instances]
+    assert _int_digest(*xs) == NORTH_STAR_EXACT_X_SHA256
+
+
+def test_exact_overrun_incumbents_reproduce_the_north_star_desk_cells(
+    north_star_desk_instances,
+):
+    flagged = []
+    for inst in north_star_desk_instances:
+        try:
+            flagged.append(np.append(0, m.solve_step1_exact(inst, node_budget=5_000).x))
+        except step1.NodeBudgetExceeded as exc:
+            flagged.append(np.append(1, exc.incumbent.x))
+    assert sum(int(f[0]) for f in flagged) == NORTH_STAR_OVERRUNS
+    assert _int_digest(*flagged) == NORTH_STAR_OVERRUN_SHA256
+
+
+class _TableBuilt(Exception):
+    """Stops an exact solve once its candidates and count table are built."""
+
+
+def _exact_search_tables(inst):
+    """The candidates and the count table that solve_step1_exact builds
+    for inst, captured before its search starts."""
+    count_table, built = step1._count_table, []
+
+    def capture(candidates, n_bs, n_bs_rf):
+        built.extend([candidates, count_table(candidates, n_bs, n_bs_rf)])
+        raise _TableBuilt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(step1, "_count_table", capture)
+        with pytest.raises(_TableBuilt):
+            m.solve_step1_exact(inst)
+    return built
+
+
+def _reference_counts(inst, links):
+    """Per-BS chain counts of a candidate's flat links, from inst.bs_of_chain."""
+    bs = inst.bs_of_chain[np.asarray(links) % inst.c.shape[1]]
+    return tuple(np.bincount(bs, minlength=inst.n_bs).tolist())
+
+
+def _reference_step(inst, links):
+    """_reference_counts flattened by np.ravel_multi_index over the table's shape."""
+    shape = (inst.n_bs_rf + 1,) * inst.n_bs
+    return int(np.ravel_multi_index(_reference_counts(inst, links), shape))
+
+
+def _reference_count_table(inst, candidates):
+    """The count table over every candidate, each at its reference counts d:
+    row[k] = max(rest[k], s + rest[k + d]) over all k + d <= n_bs_rf."""
+    base = inst.n_bs_rf + 1
+    table = [np.zeros((base,) * inst.n_bs)]
+    for cands in reversed(candidates):
+        rest, row = table[-1], table[-1].copy()
+        for score, _, links, _ in cands:
+            d = _reference_counts(inst, links)
+            room = row[tuple(slice(base - k) for k in d)]
+            np.maximum(room, score + rest[tuple(slice(k, None) for k in d)], out=room)
+        table.append(row)
+    return [t.ravel().tolist() for t in reversed(table)]
+
+
+def _step_instances():
+    rng = np.random.default_rng(3030)
+    shapes = [(n_ue_rf, n_bs_rf) for n_ue_rf in (1, 2, 3) for n_bs_rf in (1, 2, 3)]
+    full = m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg")
+    return (
+        [
+            random_instance(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)), *shape)
+            for shape in shapes
+            for _ in range(3)
+        ]
+        + [_desk_cell(run_id, r_max) for run_id, r_max in DESK_CELLS[::4]]
+        + [harness.build_cell_instance(full, 0, 2e9)]
+    )
+
+
+def test_candidate_steps_and_count_table_match_the_instance_layout():
+    # Each candidate's step is its per-BS chain counts, read off
+    # inst.bs_of_chain and flattened by np.ravel_multi_index; the table is
+    # bit for bit the one built from those reference steps, and the one
+    # that maxes over every candidate at its reference counts.
+    n_candidates = 0
+    for trial, inst in enumerate(_step_instances()):
+        candidates, table = _exact_search_tables(inst)
+        n_candidates += sum(map(len, candidates))
+        reference = [
+            [(score, mask, links, _reference_step(inst, links)) for score, mask, links, _ in cands]
+            for cands in candidates
+        ]
+        assert candidates == reference, f"trial {trial}"
+        assert table == step1._count_table(reference, inst.n_bs, inst.n_bs_rf), f"trial {trial}"
+        assert table == _reference_count_table(inst, candidates), f"trial {trial}"
+    assert n_candidates > 0
+
+
 def _milp_step1_optimum(inst):
     """HiGHS's optimum of the relaxation rows with every variable integral."""
     opt = pytest.importorskip("scipy.optimize")
@@ -330,7 +449,7 @@ def _multiple_choice_knapsack_bound(candidates, n_bc):
     for cands in reversed(candidates):
         rest, row = table[-1], table[-1][:]
         # cands run best first, so reversed the best of each size is written last.
-        best_k = {len(links): score for score, _, links in reversed(cands)}
+        best_k = {len(links): score for score, _, links, _ in reversed(cands)}
         for k, score in best_k.items():
             for f in range(k, n_bc + 1):
                 row[f] = max(row[f], score + rest[f - k])
@@ -385,13 +504,8 @@ def test_count_table_is_between_the_optimum_and_the_knapsack():
     # no optimum is cut.
     tighter = 0
     for trial, inst in enumerate(_bound_instances()):
-        w = m.weight_term(inst.c, inst.rate_req[inst.ue_of_chain][:, None], inst.n_ue_rf)
-        c, w, r = inst.c.ravel().tolist(), w.ravel().tolist(), inst.rate_req.tolist()
+        candidates, table = _exact_search_tables(inst)
         n_bc = inst.c.shape[1]
-        candidates = [
-            step1._ue_candidates(c, w, r[u], inst.n_ue_rf, n_bc, u) for u in range(inst.n_ue)
-        ]
-        table, _ = step1._count_table(candidates, inst.n_bs, inst.n_bs_rf)
         knapsack = np.array(_multiple_choice_knapsack_bound(candidates, n_bc))
         fractional = np.array(_fractional_knapsack_bound(candidates, n_bc))
         assert np.all(knapsack <= fractional + 1e-9), f"trial {trial}"
@@ -416,7 +530,9 @@ def test_candidate_sums_fold_left_to_right_whatever_the_builtin_sum(monkeypatch)
 
     monkeypatch.setattr(step1, "sum", compensated_sum, raising=False)
     c = [2.0**53, 0, 0, 0, 1.0, 0, 0, 0, 1.0]
-    assert step1._ue_candidates(c, [0.1] * 9, 2.0**53 + 2, 3, 3, 0) == []
+    # UE 0 owns the three rows of a 3 x 3 matrix, whose three BS chains
+    # belong to one BS.
+    assert step1._ue_candidates(c, [0.1] * 9, 2.0**53 + 2, [0, 3, 6], [1, 1, 1]) == []
 
 
 # ---------------------------------------------------------------------------
