@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness, step1
-from .instance import instance_from_dict, solution_to_dict
+from .instance import count, instance_from_dict, solution_to_dict
 from .model import ScenarioConfig
 
 
@@ -92,15 +92,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.node_budget < 1:  # as ExperimentSpec rejects exact_node_budget
-        return _error(f"node_budget must be >= 1, got {args.node_budget}")
     try:
-        inst = instance_from_dict(json.loads(Path(args.instance).read_text()))
-    except OSError as exc:
+        count(args.node_budget, "node_budget")  # before the instance is read
+        text = Path(args.instance).read_text()
+    except (OSError, ValueError) as exc:
         return _error(exc)
+    try:
+        inst = instance_from_dict(json.loads(text))
     except KeyError as exc:
         return _error(f"{args.instance}: missing key {exc}")
-    except (TypeError, ValueError) as exc:  # not JSON, or not a valid instance
+    # Not JSON, not a valid instance, or an integer that numpy cannot hold.
+    except (TypeError, ValueError, OverflowError) as exc:
         return _error(f"{args.instance}: {exc}")
     try:
         sol, _ = harness.run_scheme(inst, args.scheme, args.node_budget)

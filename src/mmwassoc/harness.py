@@ -15,7 +15,6 @@ aggregates go through the same writer, one per output format.
 from __future__ import annotations
 
 import json
-import operator
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -27,6 +26,7 @@ from . import baselines, step1, step2flow
 from .instance import (
     AssociationInstance,
     AssociationSolution,
+    count,
     instance_from_capacity,
     metrics,
     solution_from_x,
@@ -54,11 +54,8 @@ class ExperimentSpec:
     measure_time: bool = False
 
     def __post_init__(self) -> None:
-        # A float count raises TypeError, as in ScenarioConfig.
-        if operator.index(self.n_runs) < 1:
-            raise ValueError("n_runs must be >= 1")
-        if operator.index(self.exact_node_budget) < 1:
-            raise ValueError("exact_node_budget must be >= 1")
+        for name in ("n_runs", "exact_node_budget"):
+            object.__setattr__(self, name, count(getattr(self, name), name))
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}; choose from {SCHEMES}")

@@ -30,6 +30,7 @@ those with ``constraints=STRUCTURAL_CONSTRAINTS``.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import asdict, dataclass, field
 
@@ -39,6 +40,20 @@ from .tolerances import RATE_TOL_BPS
 
 ALL_CONSTRAINTS = ("5b", "5c", "5d", "5e", "5f")
 STRUCTURAL_CONSTRAINTS = ("5b", "5c", "5d", "5e")
+
+
+def count(value, name: str, least: int = 1) -> int:
+    """value as a plain int: the package's one rule for a count, budget or seed.
+
+    Any integer with __index__ passes (numpy's too), except a bool, which
+    would pass as 0 or 1 and be written back as false or true.  Anything
+    else raises TypeError, and an integer below least ValueError.
+    """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if (number := operator.index(value)) < least:
+        raise ValueError(f"{name} must be >= {least}, got {number}")
+    return number
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +76,8 @@ class AssociationInstance:
             raise ValueError(
                 f"the capacity matrix must be 2-D (UE chains x BS chains), got {self.c.ndim}-D"
             )
-        if operator.index(self.n_ue_rf) < 1 or operator.index(self.n_bs_rf) < 1:
-            raise ValueError("n_ue_rf and n_bs_rf must be >= 1")
+        for name in ("n_ue_rf", "n_bs_rf"):
+            object.__setattr__(self, name, count(getattr(self, name), name))
         n_uc, n_bc = self.c.shape
         if n_uc % self.n_ue_rf or n_bc % self.n_bs_rf:
             raise ValueError("each UE must own exactly n_ue_rf chains, each BS n_bs_rf")
@@ -267,17 +282,38 @@ def instance_to_dict(inst: AssociationInstance) -> dict:
     }
 
 
+def _json_numbers(data: dict, key: str) -> np.ndarray:
+    """data[key], a real number or equally long lists of them, as floats.
+
+    numpy would read a bool or a numeric string as a number, and word a
+    ragged list in its own terms; here each is refused by name and index.
+    """
+    value = data[key]
+    if isinstance(value, list) and value and isinstance(value[0], list):
+        for i, row in enumerate(value):
+            if not isinstance(row, list) or len(row) != len(value[0]):
+                raise ValueError(f"{key} row {i} is not a list as long as row 0 ({len(value[0])})")
+    entries = np.array(value, dtype=object)
+    for where, entry in np.ndenumerate(entries):
+        if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
+            raise TypeError(f"{key}{''.join(f'[{i}]' for i in where)} is {entry!r}, not a number")
+    return entries.astype(float)
+
+
 def instance_from_dict(data: dict) -> AssociationInstance:
     """Inverse of instance_to_dict; the dimensions and ownership maps
-    must equal those the capacity matrix and chain counts give."""
-    if not all(type(data[k]) is int for k in ("n_ue", "n_bs", "n_ue_rf", "n_bs_rf")):
-        raise ValueError("n_ue, n_bs, n_ue_rf and n_bs_rf must be integers")
+    must equal those the capacity matrix and chain counts give.  n_ue and
+    n_bs may be 0, since an instance without BS chains is valid."""
+    for key, least in (("n_ue", 0), ("n_bs", 0), ("n_ue_rf", 1), ("n_bs_rf", 1)):
+        count(data[key], key, least)
     inst = make_instance(
-        data["capacity_bps"], data["rate_req_bps"], data["n_ue_rf"], data["n_bs_rf"]
+        _json_numbers(data, "capacity_bps"),
+        _json_numbers(data, "rate_req_bps"),
+        data["n_ue_rf"],
+        data["n_bs_rf"],
     )
-    derived = instance_to_dict(inst)
     for key in ("n_ue", "n_bs", "ue_of_chain", "bs_of_chain"):
-        if data[key] != derived[key]:
+        if not np.array_equal(_json_numbers(data, key), getattr(inst, key)):
             raise ValueError(f"{key} is not what the capacity matrix and chain counts give")
     return inst
 

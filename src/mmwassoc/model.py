@@ -27,12 +27,13 @@ chains, cols = BS RF chains; `AssociationInstance` validates it.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+from .instance import count
 
 # Distances below this floor are clamped before the path-loss log.
 DISTANCE_FLOOR_M = 1.0
@@ -48,7 +49,9 @@ class ScenarioConfig:
     """All generative parameters of a scenario.
 
     Counts are devices/chains/antennas, powers in dBm, noise density in
-    dBm/Hz, rates in bit/s, angle-error sigmas in degrees.  Defaults are
+    dBm/Hz, rates in bit/s, angle-error sigmas in degrees.  Each count
+    (at least 1) and the seed (at least 0) pass instance.count and are
+    stored as plain ints.  Defaults are
     the dense urban evaluation setting (5 BSs on a 200 m grid, 30 UEs,
     5x2 RF chains, 32/8 antennas, 30 dBm, -174 dBm/Hz, 200 MHz, 28 GHz).
     """
@@ -72,8 +75,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_bs", "n_ue", "n_bs_rf", "n_ue_rf", "n_bs_ant", "n_ue_ant"):
-            if operator.index(getattr(self, name)) < 1:  # a float count raises TypeError
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, count(getattr(self, name), name))
+        object.__setattr__(self, "seed", count(self.seed, "seed", least=0))
         # Each comparison chain below fails for NaN too.
         for name in ("bandwidth_hz", "bs_spacing", "carrier_ghz"):
             if not 0 < getattr(self, name) < math.inf:
@@ -86,8 +89,6 @@ class ScenarioConfig:
         for name in ("sigma_aod_deg", "sigma_aoa_deg"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if operator.index(self.seed) < 0:  # a float seed raises TypeError
-            raise ValueError("seed must be a non-negative integer")
         # Finite dB values can still overflow the link budget and poison
         # every capacity: check the strongest link any scenario can hold,
         # at the distance floor with full beam gains.  It bounds every link
@@ -109,6 +110,15 @@ class ScenarioConfig:
                 f"is out of range: the strongest link's capacity would be {peak} bit/s, "
                 f"and it, its ratio to r_min_bps and its sum over {n_pairs} chain pairs "
                 "must be finite"
+            )
+        # A UE-BS distance is the norm of an offset within the BS grid, so
+        # the square of the grid's diagonal must be finite too.  The link
+        # budget has refused an n_bs beyond the float range by now.
+        rows, cols = _grid_shape(self.n_bs)
+        diagonal_sq = ((rows - 1) ** 2 + (cols - 1) ** 2) * self.bs_spacing * self.bs_spacing
+        if not math.isfinite(diagonal_sq):
+            raise ValueError(
+                f"bs_spacing {self.bs_spacing} puts the BS grid's diagonal out of range"
             )
 
     @property
@@ -179,8 +189,7 @@ def beamforming_gain(est_angle, true_angle, n: int):
     repeats where they differ by an even integer).  A NaN or infinite
     angle raises ValueError.
     """
-    if operator.index(n) < 1:  # a float count raises TypeError
-        raise ValueError(f"element count must be >= 1, got {n}")
+    n = count(n, "element count")
     est = np.asarray(est_angle, dtype=float)
     true = np.asarray(true_angle, dtype=float)
     if not (np.isfinite(est).all() and np.isfinite(true).all()):

@@ -36,13 +36,13 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, permutations
-from operator import add, index
+from operator import add
 
 import numpy as np
 
 from . import lp
 from .instance import AssociationInstance, AssociationSolution, link_weights, objective_step1
-from .instance import solution_from_x
+from .instance import count, solution_from_x
 from .tolerances import FEAS_TOL, FRACTION_TOL, SUPPORT_EPS, TIE_EPS
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -347,9 +347,9 @@ def solve_step1_exact(
     r_u, or the instance has no BS chains) stays unassociated.  Raises
     NodeBudgetExceeded (carrying the incumbent) if the tree outgrows
     node_budget, or before anything is enumerated if every UE's possible
-    candidates, or the table's entries, would.  node_budget must be an
-    integer of at least 1: a float raises TypeError and a smaller one
-    ValueError, before any LP is solved.
+    candidates, or the table's entries, would.  node_budget must pass
+    instance.count, an integer of at least 1: a float raises TypeError
+    and a smaller one ValueError, before any LP is solved.
 
     The capacities and link weights (instance.link_weights) are read
     once per solve as flat row-major Python lists, so every candidate
@@ -366,8 +366,7 @@ def solve_step1_exact(
     leaf that improves on the incumbent or ties it, and the incumbent's
     x is written in one assignment.
     """
-    if index(node_budget) < 1:  # as ExperimentSpec rejects exact_node_budget
-        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
+    node_budget = count(node_budget, "node_budget")
     n_ue, n_bc, n_ue_rf = inst.n_ue, inst.c.shape[1], inst.n_ue_rf
     weights = link_weights(inst).ravel().tolist()
     c, rate_req = inst.c.ravel().tolist(), inst.rate_req.tolist()

@@ -723,7 +723,7 @@ def _instance_text(edit):
         (_instance_text(lambda d: d.pop("n_bs_rf")), "missing key 'n_bs_rf'"),
         (_instance_text(lambda d: d.update(rate_req_bps=[-1.0, 1e9, 1e9])), "rate requirements"),
         ("[1, 2]", "list indices"),
-        (_instance_text(lambda d: d.update(n_ue_rf=2.7)), "must be integers"),
+        (_instance_text(lambda d: d.update(n_ue_rf=2.7)), "must be an integer"),
         (_instance_text(lambda d: d.update(ue_of_chain=[0, 0.9, 1, 1, 2, 2])), "ue_of_chain"),
         (_instance_text(lambda d: d.update(ue_of_chain=[0, 1, 0, 1, 2, 2])), "ue_of_chain"),
         (_instance_text(lambda d: d.update(bs_of_chain=[0, 1, 0, 1])), "bs_of_chain"),
