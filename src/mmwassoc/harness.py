@@ -29,6 +29,7 @@ from .instance import (
     count,
     instance_from_capacity,
     metrics,
+    real,
     solution_from_x,
 )
 from .model import ScenarioConfig, build_capacity_matrix, sample_scenario
@@ -59,8 +60,9 @@ class ExperimentSpec:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}; choose from {SCHEMES}")
-        if not all(self.base.r_min_bps <= r < np.inf for r in self.r_max_sweep):
-            raise ValueError("every sweep value must be finite and >= the base r_min_bps")
+        low = self.base.r_min_bps
+        sweep = tuple(real(r, "r_max_sweep value", low, strict=False) for r in self.r_max_sweep)
+        object.__setattr__(self, "r_max_sweep", sweep)
         # A cell's seed takes r_max to the bit/s, so sweep values that round
         # alike repeat: their cells would draw the same scenarios.
         for name, values in (

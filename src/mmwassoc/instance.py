@@ -30,6 +30,7 @@ those with ``constraints=STRUCTURAL_CONSTRAINTS``.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import asdict, dataclass, field
@@ -54,6 +55,28 @@ def count(value, name: str, least: int = 1) -> int:
     if (number := operator.index(value)) < least:
         raise ValueError(f"{name} must be >= {least}, got {number}")
     return number
+
+
+def real(value, name: str, low: float = -math.inf, strict: bool = True) -> float:
+    """value as a plain float: the package's one rule for a real number.
+
+    Any numbers.Real passes (numpy's too), except a bool, which would pass
+    as 0 or 1 and be written back as True or False.  Anything else raises
+    TypeError, and a value that is not finite, or not above low (below low
+    when strict is false), ValueError; an integer beyond the float range
+    is not finite.
+    """
+    # A plain float skips the numbers.Real test, which costs a few microseconds
+    # per sweep cell's config; bool cannot be subclassed.
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+        raise TypeError(f"{name} is {value!r}, not a number")
+    try:
+        if math.isfinite(number := float(value)) and (number > low if strict else number >= low):
+            return number
+    except OverflowError:  # an integer beyond the float range is not finite either
+        pass
+    bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low}"
+    raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +309,8 @@ def _json_numbers(data: dict, key: str) -> np.ndarray:
     """data[key], a real number or equally long lists of them, as floats.
 
     numpy would read a bool or a numeric string as a number, and word a
-    ragged list in its own terms; here each is refused by name and index.
+    ragged list in its own terms; here each entry passes real by name and
+    index, and a ragged row is refused by its index.
     """
     value = data[key]
     if isinstance(value, list) and value and isinstance(value[0], list):
@@ -295,22 +319,25 @@ def _json_numbers(data: dict, key: str) -> np.ndarray:
                 raise ValueError(f"{key} row {i} is not a list as long as row 0 ({len(value[0])})")
     entries = np.array(value, dtype=object)
     for where, entry in np.ndenumerate(entries):
-        if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
-            raise TypeError(f"{key}{''.join(f'[{i}]' for i in where)} is {entry!r}, not a number")
+        entries[where] = real(entry, f"{key}{''.join(f'[{i}]' for i in where)}")
     return entries.astype(float)
 
 
 def instance_from_dict(data: dict) -> AssociationInstance:
     """Inverse of instance_to_dict; the dimensions and ownership maps
     must equal those the capacity matrix and chain counts give.  n_ue and
-    n_bs may be 0, since an instance without BS chains is valid."""
-    for key, least in (("n_ue", 0), ("n_bs", 0), ("n_ue_rf", 1), ("n_bs_rf", 1)):
-        count(data[key], key, least)
+    n_bs may be 0, since an instance without BS chains is valid; without
+    UEs, capacity_bps is [] and takes one column per bs_of_chain entry,
+    since counts alone could ask for any number of columns."""
+    counts = {
+        key: count(data[key], key, least)
+        for key, least in (("n_ue", 0), ("n_bs", 0), ("n_ue_rf", 1), ("n_bs_rf", 1))
+    }
+    c = _json_numbers(data, "capacity_bps")
+    if counts["n_ue"] == 0 and c.shape == (0,):
+        c = c.reshape(0, _json_numbers(data, "bs_of_chain").size)
     inst = make_instance(
-        _json_numbers(data, "capacity_bps"),
-        _json_numbers(data, "rate_req_bps"),
-        data["n_ue_rf"],
-        data["n_bs_rf"],
+        c, _json_numbers(data, "rate_req_bps"), counts["n_ue_rf"], counts["n_bs_rf"]
     )
     for key in ("n_ue", "n_bs", "ue_of_chain", "bs_of_chain"):
         if not np.array_equal(_json_numbers(data, key), getattr(inst, key)):

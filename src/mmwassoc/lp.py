@@ -136,6 +136,12 @@ class LpSolution:
     iterations: int
 
 
+def store_bytes(m: int, n: int) -> int:
+    """Bytes of solve_lp_max's store for m rows and n columns: the tableau
+    and the first m pivot records, 2m x (n + m) float64."""
+    return 8 * 2 * m * (n + m)
+
+
 def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     """Maximize objective @ x subject to a_ub @ x <= b_ub, 0 <= x <= upper.
 
@@ -165,7 +171,7 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
 
     total = n + m
     # Rows 0..m-1 hold the tableau; rows m..2m-1 the first m pivot records,
-    # in the same allocation (see the module docstring).
+    # in the same allocation (see the module docstring), store_bytes(m, n).
     store = np.empty((2 * m, total))
     tableau = store[:m]
     # One zero fill, then the triplets and the slack identity by flat index.

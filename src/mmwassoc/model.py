@@ -33,10 +33,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .instance import count
+from .instance import count, real
+from .lp import store_bytes
 
 # Distances below this floor are clamped before the path-loss log.
 DISTANCE_FLOOR_M = 1.0
+
+# The largest array a cell of a default sweep may allocate, in bytes, so that
+# a config cannot ask for a scenario the sweep cannot hold in memory.  The
+# step-1 simplex store is that array: 0.32 MB on desk.cfg, 3.9 MB on full.cfg
+# and 68 MB at 9 BSs x 100 UEs.
+CELL_ARRAY_BYTES_MAX = 2**30
+
+_COUNTS = ("n_bs", "n_ue", "n_bs_rf", "n_ue_rf", "n_bs_ant", "n_ue_ant")
 
 _RNG_STREAMS = ("ue_pos", "rate", "true_aoa", "true_aod", "err_aoa", "err_aod")
 
@@ -51,7 +60,9 @@ class ScenarioConfig:
     Counts are devices/chains/antennas, powers in dBm, noise density in
     dBm/Hz, rates in bit/s, angle-error sigmas in degrees.  Each count
     (at least 1) and the seed (at least 0) pass instance.count and are
-    stored as plain ints.  Defaults are
+    stored as plain ints; together the counts must keep a cell's largest
+    array within CELL_ARRAY_BYTES_MAX.  Every other field passes
+    instance.real and is stored as a plain float.  Defaults are
     the dense urban evaluation setting (5 BSs on a 200 m grid, 30 UEs,
     5x2 RF chains, 32/8 antennas, 30 dBm, -174 dBm/Hz, 200 MHz, 28 GHz).
     """
@@ -74,21 +85,22 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_bs", "n_ue", "n_bs_rf", "n_ue_rf", "n_bs_ant", "n_ue_ant"):
+        for name in _COUNTS:
             object.__setattr__(self, name, count(getattr(self, name), name))
         object.__setattr__(self, "seed", count(self.seed, "seed", least=0))
-        # Each comparison chain below fails for NaN too.
-        for name in ("bandwidth_hz", "bs_spacing", "carrier_ghz"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if (largest := self.cell_array_bytes) > CELL_ARRAY_BYTES_MAX:
+            counts = ", ".join(f"{name} = {getattr(self, name)}" for name in _COUNTS)
+            raise ValueError(
+                f"{counts} need a {largest}-byte array per cell, over the bound of "
+                f"{CELL_ARRAY_BYTES_MAX} bytes (CELL_ARRAY_BYTES_MAX)"
+            )
+        for name in ("bandwidth_hz", "bs_spacing", "carrier_ghz", "r_min_bps"):
+            object.__setattr__(self, name, real(getattr(self, name), name, 0))
         for name in ("tx_power_dbm", "noise_psd_dbm_hz"):
-            if not -math.inf < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.r_min_bps <= self.r_max_bps < math.inf:
-            raise ValueError("rates must be finite with 0 < r_min_bps <= r_max_bps")
-        for name in ("sigma_aod_deg", "sigma_aoa_deg"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            object.__setattr__(self, name, real(getattr(self, name), name))
+        for name in ("r_max_bps", "sigma_aod_deg", "sigma_aoa_deg"):
+            low = self.r_min_bps if name == "r_max_bps" else 0
+            object.__setattr__(self, name, real(getattr(self, name), name, low, strict=False))
         # Finite dB values can still overflow the link budget and poison
         # every capacity: check the strongest link any scenario can hold,
         # at the distance floor with full beam gains.  It bounds every link
@@ -112,8 +124,8 @@ class ScenarioConfig:
                 "must be finite"
             )
         # A UE-BS distance is the norm of an offset within the BS grid, so
-        # the square of the grid's diagonal must be finite too.  The link
-        # budget has refused an n_bs beyond the float range by now.
+        # the square of the grid's diagonal must be finite too.  The size
+        # bound has refused an n_bs that _grid_shape would take long to factor.
         rows, cols = _grid_shape(self.n_bs)
         diagonal_sq = ((rows - 1) ** 2 + (cols - 1) ** 2) * self.bs_spacing * self.bs_spacing
         if not math.isfinite(diagonal_sq):
@@ -128,6 +140,17 @@ class ScenarioConfig:
     @property
     def n_bs_chains(self) -> int:
         return self.n_bs * self.n_bs_rf
+
+    @property
+    def cell_array_bytes(self) -> int:
+        """Bytes of the largest array a cell of a default sweep allocates,
+        from the counts alone: the simplex store of the step-1 LP, whose
+        rows are 5b, 5c, 5e and 5f and whose columns are x and z, or a
+        beamforming_gain temporary, one complex128 per chain pair and antenna."""
+        n_pairs = self.n_ue_chains * self.n_bs_chains
+        m = self.n_bs_chains + self.n_ue_chains + 2 * self.n_ue
+        gains = 16 * n_pairs * max(self.n_ue_ant, self.n_bs_ant)
+        return max(store_bytes(m, n_pairs + self.n_ue), gains)
 
     def to_config_file(self, path: str | Path) -> None:
         """Write a flat ``key = value`` config, one field per line."""
@@ -205,11 +228,10 @@ def path_loss_db(distance_m, carrier_ghz: float):
 
     Distances below DISTANCE_FLOOR_M are clamped to the floor;
     non-positive distances additionally raise a warning, and a NaN
-    distance raises ValueError, as does a carrier that is not finite
+    distance raises ValueError.  The carrier passes instance.real: finite
     and > 0.
     """
-    if not 0 < carrier_ghz < math.inf:  # NaN fails too
-        raise ValueError(f"carrier frequency must be finite and > 0, got {carrier_ghz}")
+    carrier_ghz = real(carrier_ghz, "carrier frequency", 0)
     d = np.asarray(distance_m, dtype=float)
     if np.isnan(d).any():
         raise ValueError("distance must not be NaN")

@@ -1,13 +1,17 @@
-"""The count rule at each of its sites, and the package's two input doors.
+"""The count and real-number rules at each of their sites, and the
+package's two input doors.
 
 `instance.count` is the one rule for a count, budget or seed: an integer
 (numpy's too, but not a bool) of at least a bound, returned as a plain
-int.  The doors are `mmwassoc solve --instance` (instance_from_dict) and
-`mmwassoc simulate --config` (ScenarioConfig.from_config_file, then
-ExperimentSpec).  The property tests mutate a valid instance file and a
-valid config file and run the CLI in process: each input either exits 2
-with one `error:` line and writes nothing, or exits 0 with an output that
-passes the structural audit.
+int.  `instance.real` is the one rule for a real number: a numbers.Real
+(numpy's too, but not a bool) that is finite and within a bound, returned
+as a plain float.  The doors are `mmwassoc solve --instance`
+(instance_from_dict) and `mmwassoc simulate --config`
+(ScenarioConfig.from_config_file, then ExperimentSpec).  The property
+tests mutate a valid instance file and a valid config file and run the
+CLI in process: each input either exits 2 with one `error:` line and
+writes nothing, or exits 0 with an output that passes the structural
+audit.
 """
 
 from __future__ import annotations
@@ -17,7 +21,14 @@ import copy
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmwassoc as m
-from mmwassoc import cli, harness
+from mmwassoc import cli, harness, step1
 from mmwassoc.instance import (
     STRUCTURAL_CONSTRAINTS,
     instance_from_dict,
@@ -34,6 +45,8 @@ from mmwassoc.instance import (
     solution_from_x,
     solution_to_dict,
 )
+from mmwassoc.lp import store_bytes
+from mmwassoc.model import CELL_ARRAY_BYTES_MAX
 
 from conftest import random_instance
 
@@ -159,6 +172,100 @@ def test_numpy_integer_chain_counts_round_trip_and_bool_counts_are_refused():
 
 
 # ---------------------------------------------------------------------------
+# The real-number rule, site by site
+# ---------------------------------------------------------------------------
+
+
+def _config_real(name):
+    return lambda value: getattr(m.ScenarioConfig(**{name: value}), name)
+
+
+def _sweep_value(value):
+    return harness.ExperimentSpec(m.ScenarioConfig(), r_max_sweep=(value,)).r_max_sweep[0]
+
+
+def _carrier(value):
+    assert m.path_loss_db(10.0, value) == m.path_loss_db(10.0, float(value))
+
+
+def _door_entry(key, *index):
+    def site(value):
+        data = copy.deepcopy(SITE_INSTANCE)
+        _node(data, (key, *index[:-1]))[index[-1]] = value
+        inst = instance_from_dict(data)
+        assert inst.c.dtype == inst.rate_req.dtype == np.float64
+
+    return site
+
+
+NO_BOUND = None
+BELOW_R_MIN = math.nextafter(m.ScenarioConfig().r_min_bps, 0.0)
+
+# Each real ScenarioConfig field: a value it accepts, the value just past its bound.
+CONFIG_REALS = (
+    ("bs_spacing", 200, 0.0),
+    ("bandwidth_hz", 200_000_000, 0.0),
+    ("carrier_ghz", 28, 0.0),
+    ("r_min_bps", 300_000_000, 0.0),
+    ("r_max_bps", 2_000_000_000, BELOW_R_MIN),
+    ("tx_power_dbm", 30, NO_BOUND),
+    ("noise_psd_dbm_hz", -174, NO_BOUND),
+    ("sigma_aod_deg", 1, -5e-324),
+    ("sigma_aoa_deg", 3, -5e-324),
+)
+
+# site -> (call, the name its messages give, a value it accepts, the value
+# just past its bound); a call returns the float its site keeps, if any.  The
+# doors' capacities and requirements have no bound of their own:
+# AssociationInstance checks their ranges as arrays.
+REAL_SITES = {
+    **{
+        f"ScenarioConfig.{name}": (_config_real(name), name, good, past)
+        for name, good, past in CONFIG_REALS
+    },
+    "ExperimentSpec.r_max_sweep": (_sweep_value, "r_max_sweep value", 10**9, BELOW_R_MIN),
+    "path_loss_db": (_carrier, "carrier frequency", 28, 0.0),
+    "instance_from_dict.capacity_bps": (
+        _door_entry("capacity_bps", 0, 0), "capacity_bps[0][0]", 10**9, -5e-324
+    ),
+    "instance_from_dict.rate_req_bps": (
+        _door_entry("rate_req_bps", 0), "rate_req_bps[0]", 10**9, 0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_every_real_site_applies_the_one_rule(site):
+    call, name, good, past = REAL_SITES[site]
+    for bad in (True, "2e8", Decimal("30")):
+        with pytest.raises(TypeError, match=re.escape(f"{name} is {bad!r}, not a number")):
+            call(bad)
+    for bad in (math.nan, math.inf, -math.inf, 10**400, *([] if past is NO_BOUND else [past])):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(bad)
+    for value in (np.float32(good), good):
+        kept = call(value)
+        assert kept is None or (type(kept) is float and kept == good)
+
+
+@pytest.mark.parametrize("kind", [np.float32, int])
+def test_a_config_of_numpy_or_int_reals_is_stored_as_floats_and_round_trips(tmp_path, kind):
+    # Without the rule an int was kept as an int and a numpy float as
+    # numpy's, and a bool passed and was written as True, which the file
+    # reader refused.
+    cfg = m.ScenarioConfig(**{name: kind(good) for name, good, _ in CONFIG_REALS})
+    assert all(type(getattr(cfg, name)) is float for name, _, _ in CONFIG_REALS)
+    path = tmp_path / "scenario.cfg"
+    cfg.to_config_file(path)
+    assert m.ScenarioConfig.from_config_file(path) == cfg
+
+
+def test_the_sweep_stores_a_tuple_of_floats():
+    spec = harness.ExperimentSpec(m.ScenarioConfig(), r_max_sweep=[np.float32(1e9), 2 * 10**9])
+    assert spec.r_max_sweep == (1e9, 2e9) and {type(r) for r in spec.r_max_sweep} == {float}
+
+
+# ---------------------------------------------------------------------------
 # The instance door
 # ---------------------------------------------------------------------------
 
@@ -202,15 +309,39 @@ def test_cli_solve_refuses_non_numbers_and_ragged_rows_by_name(tmp_path, scheme,
     assert err == [f"error: {path}: {message}"]
 
 
+@pytest.mark.parametrize("n_bs, n_bs_rf", [(0, 1), (0, 3), (2, 1), (2, 3)])
+def test_an_instance_without_ues_round_trips_and_solves(tmp_path, n_bs, n_bs_rf):
+    # Its capacity_bps is [], which keeps no column count: the reader takes
+    # the n_bs * n_bs_rf columns from the counts.
+    inst = m.make_instance(np.zeros((0, n_bs * n_bs_rf)), [], 1, n_bs_rf)
+    text = json.dumps(instance_to_dict(inst))
+    assert json.loads(text)["capacity_bps"] == []
+    _assert_same_instance(instance_from_dict(json.loads(text)), inst)
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    for scheme in harness.SCHEMES:
+        code, out, err = _run(["solve", "--instance", str(path), "--scheme", scheme])
+        assert code == 0 and err == []
+        metrics = json.loads(out)["metrics"]
+        assert metrics == {"n_associated": 0, "n_satisfied": 0, "sum_rate_bps": 0.0}
+
+
 def test_cli_solve_refuses_integers_numpy_cannot_hold(tmp_path):
-    # An integer beyond the float range as a capacity, and a chain count
-    # beyond int64 on an instance without BS chains.
+    # An integer beyond the float range as a capacity, a chain count beyond
+    # int64 on an instance without BS chains, and, on an instance without
+    # UEs, BS counts that ask for 2**59 or 10**9 columns its bs_of_chain
+    # does not hold: the reader must not build arrays of that size.
     rows = [[0] * 4 for _ in range(6)]
     rows[0][0] = 10**400
     no_bs = {**VALID_INSTANCE, "n_bs": 0, "n_bs_rf": 2**64, "bs_of_chain": []}
+    no_ue = {"n_ue": 0, "n_ue_rf": 1, "n_bs_rf": 1, "capacity_bps": [], "rate_req_bps": []}
+    no_ue.update(ue_of_chain=[], bs_of_chain=[])
     for data in (
         {**VALID_INSTANCE, "capacity_bps": rows},
         {**no_bs, "capacity_bps": [[] for _ in range(6)]},
+        {**no_ue, "n_bs": 2**59},
+        {**no_ue, "n_bs": 10**9},
+        {**no_ue, "n_bs": 1, "n_bs_rf": 2**59, "bs_of_chain": [0]},
     ):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(data))
@@ -326,13 +457,84 @@ DESK_LINES = [
 ]
 
 # Values a mutation writes after "key =": type swaps, bad numbers, and the
-# extreme floats and integers of the instance door.  2**63 is not among
-# them: no count has an upper bound yet, so n_ue = 2**63 passes the config
-# and the first cell cannot build its arrays.
+# extreme floats and integers of the instance door.
 ODD_TOKENS = [
     "", "1.5", "True", "abc", "nan", "inf", "-inf", "-0.0", "5e-324", "1.7e308", "1e999",
-    "-1", "0", "1", "2", "0x10", "1_0", "1e3", "[1]", "'3'", "10 = 3", str(10**400),
+    "-1", "0", "1", "2", "0x10", "1_0", "1e3", "[1]", "'3'", "10 = 3", str(2**63), str(10**400),
 ]
+
+
+def test_the_size_bound_refuses_n_bs_2_to_the_63_in_under_a_second():
+    # A child process, so that a regression fails on its timeout rather than
+    # hang: without the bound, _grid_shape trial-divides about 9e8 times.
+    code = (
+        "import time\n"
+        "import mmwassoc as m\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    m.ScenarioConfig(n_bs=2**63)\n"
+        "except ValueError as exc:\n"
+        "    print(time.perf_counter() - start, exc)\n"
+    )
+    src = str(Path(m.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    elapsed, message = done.stdout.split(" ", 1)
+    assert float(elapsed) < 1.0
+    assert f"n_bs = {2**63}" in message and str(CELL_ARRAY_BYTES_MAX) in message
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{"n_ue": 2**63}, {"n_ue": 10**6, "n_bs": 10**3}, {"n_bs_ant": 10**9}, {"n_bs": 10**400}],
+    ids=["n_ue-2**63", "1000x10**6", "n_bs_ant-10**9", "n_bs-10**400"],
+)
+def test_the_size_bound_refuses_a_scenario_a_cell_cannot_hold(tmp_path, counts):
+    bound = f"over the bound of {CELL_ARRAY_BYTES_MAX} bytes"
+    with pytest.raises(ValueError, match=bound) as info:
+        m.ScenarioConfig(**counts)
+    assert all(f"{name} = {value}" in str(info.value) for name, value in counts.items())
+    path = tmp_path / "scenario.cfg"
+    path.write_text("".join(f"{name} = {value}\n" for name, value in counts.items()))
+    argv = ["simulate", "--config", str(path), "--runs", "1", "--rmax-sweep", "1e9"]
+    code, out, err = _run([*argv, "--out", str(tmp_path / "out")])
+    assert code == 2 and out == "" and not (tmp_path / "out").exists()
+    assert len(err) == 1 and bound in err[0]
+
+
+def _cell_instance(cfg):
+    c = m.build_capacity_matrix(m.sample_scenario(cfg), cfg)
+    return m.instance_from_capacity(c, np.full(cfg.n_ue, 1e9), cfg)
+
+
+@pytest.mark.parametrize("counts", [{}, {"n_bs": 9, "n_ue": 100}], ids=["full", "9x100"])
+def test_the_size_bound_is_the_store_of_the_step1_lp_step1_builds(counts):
+    # The bound has no formula of its own: on these shapes it is
+    # lp.store_bytes of the rows and columns step1 builds.  The 9 BSs x
+    # 100 UEs stress shape is admitted.
+    cfg = replace(m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg"), **counts)
+    a_ub, _ = step1._relaxation_rows(_cell_instance(cfg))
+    assert cfg.cell_array_bytes == store_bytes(*a_ub.shape) < CELL_ARRAY_BYTES_MAX
+
+
+@pytest.mark.parametrize("n_bs_ant", [32, 1024], ids=["full", "full-1024-antennas"])
+def test_a_cell_allocates_the_array_the_size_bound_counts(n_bs_ant):
+    # On full.cfg the step-1 simplex store is the largest array, with 1024
+    # BS antennas a beam-gain temporary (24.6 MB against 3.9 MB).
+    cfg = replace(m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg"), n_bs_ant=n_bs_ant)
+    tracemalloc.start()
+    try:
+        step1.solve_step1_lp(_cell_instance(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.cell_array_bytes <= peak
 
 
 @pytest.mark.parametrize("n_bs, spacing", [(3, 1.7e308), (3, 1e154), (4, 1e154)])
