@@ -41,6 +41,7 @@ unique; solve_assignment states how it breaks ties elsewhere.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -261,32 +262,48 @@ def solve_assignment(c: np.ndarray) -> np.ndarray:
             row_of[j], col_of[i] = i, j
         else:
             left.append(i)
+    order = (-wa).argsort(axis=1).tolist() if left else []
     for start in left:
         dist, via = [math.inf] * cols, [-1] * cols
-        todo, done = list(range(cols)), []
-        i, d = start, 0.0
+        reached, base, pos, live, done = [], [], [], [], []
+        i, d, least, v_max = start, 0.0, math.inf, max(v)
         while True:
-            wi, base = w[i], d - u[i]
-            pick, best = 0, math.inf
-            for k, j in enumerate(todo):
-                r = base - wi[j] - v[j]
-                if r < dist[j]:
-                    dist[j], via[j] = r, i
-                else:
-                    r = dist[j]
-                if r < best or (r == best and row_of[j] < 0 <= row_of[todo[pick]]):
-                    pick, best = k, r
-            j, d = todo.pop(pick), best
+            reached.append(i)
+            base.append(d - u[i])
+            pos.append(0)
+            for p, i in enumerate(reached):
+                wi, oi, b, k = w[i], order[i], base[p], pos[p]
+                while k < cols:
+                    j = oi[k]
+                    r = b - wi[j]
+                    if r - v_max > least:
+                        break
+                    k += 1
+                    r -= v[j]
+                    if r < dist[j]:
+                        dist[j], via[j] = r, p
+                        heapq.heappush(live, (r, row_of[j] >= 0, j))
+                        if r < least:
+                            least = r
+                    elif r == dist[j] and p < via[j]:
+                        dist[j], via[j] = r, p
+                pos[p] = k
+            j = heapq.heappop(live)[2]
+            d = dist[j]
             if row_of[j] < 0:
                 break
-            done.append(j)
+            done.append((j, d))
+            dist[j] = -math.inf  # settled: no label can lower it again
+            while live and live[0][0] > dist[live[0][2]]:
+                heapq.heappop(live)  # a stale label of a lowered or settled column
+            least = live[0][0] if live else math.inf
             i = row_of[j]
         u[start] += d
-        for k in done:
-            u[row_of[k]] += d - dist[k]
-            v[k] -= d - dist[k]
+        for k, dk in done:
+            u[row_of[k]] += d - dk
+            v[k] -= d - dk
         while True:  # augment: shift each row on the path to its new column
-            i = via[j]
+            i = reached[via[j]]
             row_of[j] = i
             j, col_of[i] = col_of[i], j
             if i == start:
