@@ -15,10 +15,12 @@ integers, hence an integral optimum always exists.  Every edge but the
 overflow has capacity one, so an integral flow is a bipartite matching
 between free BS chains and free UE chains, and solve_min_cost_flow
 finds it with solve_assignment, a rectangular assignment on the
-capacity block.  A FlowNetwork therefore stores only that block; its
-edges, one record array of dtype EDGE_DTYPE (int64 tail, head and
-capacity, float64 cost), are derived from it on first read, which only
-the tests, the flow oracle and the benchmark's edge counter do.
+capacity block by shortest augmenting paths, each search scanning a
+row in weight order only as far as a label can still settle.  A
+FlowNetwork therefore stores only that block; its edges, one record
+array of dtype EDGE_DTYPE (int64 tail, head and capacity, float64
+cost), are derived from it on first read, which only the tests, the
+flow oracle and the benchmark's edge counter do.
 
 The network path serves step 2 only: baselines.max_sum_rate calls
 solve_assignment on the whole capacity matrix.  solve_step2 keeps
@@ -223,16 +225,42 @@ def solve_assignment(c: np.ndarray) -> np.ndarray:
     every v is 0.
 
     Search: each row left over by the start, in index order, is added
-    by one dense Dijkstra search over the columns; it scans the list
-    row of each row it reaches, stops at the first free column it
-    settles, then updates the duals u, v and augments along the path.
-    The reduced costs stay non-negative and zero on the matched pairs,
-    v stays 0 on free columns and <= 0 on the others, so after each row
-    the matching has the largest weight of all that match the rows
-    matched so far.  After the last row it matches every row, and since
-    w >= 0 and there are no more rows than columns, any matching can be
-    extended to match every row without losing weight: the result is
-    the exact optimum.
+    by one Dijkstra search over the columns.  It stops at the first
+    free column it settles, then updates the duals u, v and augments
+    along the path.  In exact arithmetic the reduced costs stay
+    non-negative and zero on the matched pairs, and v stays 0 on free
+    columns and <= 0 on the others, so after each row the matching has
+    the largest weight of all that match the rows matched so far.
+    After the last row it matches every row, and since w >= 0 and there
+    are no more rows than columns, any matching can be extended to match
+    every row without losing weight: the result is the exact optimum.
+    Where the label arithmetic rounds, near 2**53, it can fall short of
+    the optimum by a few units.
+
+    A row i reached at label d labels column j with b - w[i][j] - v[j],
+    where b = d - u[i], and each column keeps its least label and the
+    row that gave it (via).  When the start leaves rows over, one
+    argsort orders every row's columns by weight, largest first.  A
+    reached row is scanned in that order only while b - w[i][j] - v_max
+    is at most the least live label, v_max being the largest v when the
+    search begins, and every cut scan resumes, in reach order, after a
+    settle raises that label.  The bound holds in IEEE arithmetic:
+    b - w[i][j] cannot fall along the sorted row, rounding is monotone,
+    and v[j] <= v_max, so no column left in the row labels below it.
+    It subtracts v_max, not 0: near 2**53 rounding can settle a label
+    below an earlier one, and the dual update then lifts a v above 0.
+    Live labels sit in a heapq heap keyed (label, column is matched,
+    column), the tie rule below; an entry that a lower label or a settle
+    made stale is dropped when it reaches the top.  When the heap yields
+    its least label, every pair not yet scanned would label strictly
+    above it.  Among equal labels of one column the earliest-reached row
+    stays via.  A later row can label a column that an earlier row
+    deferred only with a strictly smaller bound, so their labels meet
+    only where subtracting v[j] rounds them together; via then goes back
+    to the earlier row.  So the settled labels, their order, via, the
+    duals and x equal bit for bit those of a dense scan, which scans
+    every unsettled column of every reached row; the tests keep one as
+    their oracle.
 
     Ties: the start gives a row its lowest-index best column unless an
     earlier row holds it.  Among the unsettled columns of least label,
@@ -264,8 +292,8 @@ def solve_assignment(c: np.ndarray) -> np.ndarray:
             left.append(i)
     order = (-wa).argsort(axis=1).tolist() if left else []
     for start in left:
-        dist, via = [math.inf] * cols, [-1] * cols
-        reached, base, pos, live, done = [], [], [], [], []
+        dist, via = [math.inf] * cols, [-1] * cols  # via: reach position p of the row
+        reached, base, pos, live, done = [], [], [], [], []  # row, its b, its next k, by p
         i, d, least, v_max = start, 0.0, math.inf, max(v)
         while True:
             reached.append(i)
@@ -276,7 +304,7 @@ def solve_assignment(c: np.ndarray) -> np.ndarray:
                 while k < cols:
                     j = oi[k]
                     r = b - wi[j]
-                    if r - v_max > least:
+                    if r - v_max > least:  # every label left in the row exceeds least
                         break
                     k += 1
                     r -= v[j]
@@ -293,7 +321,7 @@ def solve_assignment(c: np.ndarray) -> np.ndarray:
             if row_of[j] < 0:
                 break
             done.append((j, d))
-            dist[j] = -math.inf  # settled: no label can lower it again
+            dist[j] = -math.inf  # settled: no row relabels it, and its heap entries are stale
             while live and live[0][0] > dist[live[0][2]]:
                 heapq.heappop(live)  # a stale label of a lowered or settled column
             least = live[0][0] if live else math.inf

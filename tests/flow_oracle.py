@@ -8,6 +8,11 @@ capacities above one, costs of either sign, supply that cannot be
 routed, or a `FlowNetwork`, whose edges it reads the same way.  The
 tests check the assignment against it, and it against scipy's HiGHS on
 the node-arc LP.
+
+`dense_scan_assignment` is the package's assignment search with every
+search scanning all unsettled columns of every row it reaches, where
+the package's stops once no label can still settle.  The tests require
+solve_assignment to return its x byte for byte.
 """
 
 from __future__ import annotations
@@ -205,3 +210,66 @@ def solve_min_cost_flow(net) -> np.ndarray:
                 pot[v] += dist[v] if dist[v] < d_end else d_end
 
     return np.array(flow, dtype=np.int64)
+
+
+def dense_scan_assignment(c: np.ndarray) -> np.ndarray:
+    """Maximum-weight matching of the rows of c to its columns, as 0/1 x.
+
+    The same row-reduction start, duals, tie rule and result as
+    mmwassoc.step2flow.solve_assignment, whose docstring states them, but
+    each Dijkstra search scans the list row of every row it reaches over
+    all unsettled columns and picks the least label by a linear pass.
+    """
+    if np.ndim(c) != 2:
+        raise ValueError("an assignment needs a 2-D capacity block")
+    flip = c.shape[0] > c.shape[1]
+    wa = np.maximum(c.T if flip else c, 0.0)
+    rows, cols = wa.shape
+    x = np.zeros((rows, cols), dtype=np.int64)
+    if not x.size:
+        return x.T if flip else x
+    top = wa.max(axis=1)  # propagates a NaN
+    if not np.isfinite(top).all():
+        raise ValueError("an assignment needs capacities without NaN or +inf")
+    w = wa.tolist()
+    v, row_of, col_of = [0.0] * cols, [-1] * cols, [-1] * rows
+    u, left = (-top).tolist(), []
+    for i, j in enumerate(wa.argmax(axis=1).tolist()):
+        if row_of[j] < 0:
+            row_of[j], col_of[i] = i, j
+        else:
+            left.append(i)
+    for start in left:
+        dist, via = [math.inf] * cols, [-1] * cols
+        todo, done = list(range(cols)), []
+        i, d = start, 0.0
+        while True:
+            wi, base = w[i], d - u[i]
+            pick, best = 0, math.inf
+            for k, j in enumerate(todo):
+                r = base - wi[j] - v[j]
+                if r < dist[j]:
+                    dist[j], via[j] = r, i
+                else:
+                    r = dist[j]
+                if r < best or (r == best and row_of[j] < 0 <= row_of[todo[pick]]):
+                    pick, best = k, r
+            j, d = todo.pop(pick), best
+            if row_of[j] < 0:
+                break
+            done.append(j)
+            i = row_of[j]
+        u[start] += d
+        for k in done:
+            u[row_of[k]] += d - dist[k]
+            v[k] -= d - dist[k]
+        while True:  # augment: shift each row on the path to its new column
+            i = via[j]
+            row_of[j] = i
+            j, col_of[i] = col_of[i], j
+            if i == start:
+                break
+
+    matched = np.arange(rows)
+    x[matched, col_of] = wa[matched, col_of] > 0.0
+    return x.T if flip else x

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import signal
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -802,6 +804,168 @@ def test_assignment_flow_matches_flow_oracle_and_scipy(block):
 
 
 # ---------------------------------------------------------------------------
+# the search against the dense scan
+# ---------------------------------------------------------------------------
+
+# From 2**52 on float64 holds only integers, and from 2**53 on only even ones.
+TWO52 = 2.0**52
+
+# (c, x) of blocks near 2**53, where the search's label arithmetic
+# rounds; x is the dense scan's.
+ROUNDING_CASES = {
+    # Labels settle out of order: the first search settles column 1 at
+    # 1.0 and ends at 0.0, which leaves column 1 with a dual v of +1.0.
+    # A row bound that assumed every v <= 0 would cut the second
+    # search's scan of row 4 before column 1, whose label 0.0 then ties
+    # column 2's and wins by the lower index.
+    "positive-dual": (
+        [
+            [1.0, 0.0, TWO52 + 1, 0.0, 0.0],
+            [1.5, TWO52 + 1, 0.0, 0.0, TWO52 + 2],
+            [0.0, 0.0, 0.0, 0.0, 2 * TWO52 + 2],
+            [0.0, 2 * TWO52, 0.0, 2 * TWO52, 0.0],
+            [0.0, TWO52 + 1, TWO52 + 2, 0.0, 0.0],
+        ],
+        [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 1, 0, 0, 0]],
+    ),
+    # The search from row 4 leaves column 2 with v = -2**53.  In the
+    # search from row 5, row 3 labels column 2 first; row 2, reached
+    # before row 3, had deferred it with a bound larger by 0.5, resumes,
+    # and meets the same label, since subtracting v rounds both to one
+    # float.  The equal-label rule makes row 2 its via, as in the dense
+    # scan.  Row 4 then lowers the label, so x does not hinge on the rule
+    # here.
+    "equal-label": (
+        [
+            [0.0, 0.0, 2 * TWO52 + 2, 0.0, 0.0, 0.0],
+            [0.0, 2 * TWO52, 0.0, 0.0, 0.0, TWO52 + 2],
+            [0.0, 0.0, 1.5, TWO52 + 1, TWO52, 0.0],
+            [0.0, 0.0, 1.0, TWO52, 0.0, 0.0],
+            [0.0, 0.0, 2 * TWO52 + 2, 0.0, 0.0, 1.0],
+            [0.0, 2 * TWO52 + 2, 0.0, 0.0, 2 * TWO52 + 2, 0.0],
+        ],
+        [
+            [0, 0, 1, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 1, 0],
+        ],
+    ),
+}
+
+BLOCK_FAMILIES = ("tied", "distinct", "continuous", "huge")
+
+
+def family_block(family, rng):
+    """A capacity block of 1-7 x 1-7 entries of one family.
+
+    tied: entries from 0, 1e9, 2e9 and 3e9, so labels often tie.
+    distinct: distinct powers of two, so no two matchings weigh the same.
+    continuous: uniform on [-0.5e9, 3e9), about one entry in seven c <= 0.
+    huge: entries near 2**52 and 2**53 with unit gaps beside small ones,
+    where the search's label arithmetic rounds.
+    """
+    rows, cols = rng.integers(1, 8, 2)
+    if family == "tied":
+        return rng.choice([0.0, 1e9, 2e9, 3e9], (rows, cols))
+    if family == "distinct":
+        return 2.0 ** rng.permutation(60)[: rows * cols].reshape(rows, cols)
+    if family == "continuous":
+        return rng.uniform(-0.5e9, 3e9, (rows, cols))
+    near = [TWO52, TWO52 + 1, TWO52 + 2, 2 * TWO52, 2 * TWO52 + 2]
+    return rng.choice([0.0, 0.5, 1.0, 1.5, *near], (rows, cols))
+
+
+def stress_cell():
+    """The 9 BS x 100 UE cell of full.cfg, run 0 at 2e9: 45 x 200 chains."""
+    return harness.build_cell_instance(replace(m.ScenarioConfig(), n_bs=9, n_ue=100), 0, 2e9)
+
+
+def assert_matches_dense_scan(c):
+    for oriented in (c, c.T):  # more rows than columns, and fewer
+        want = flow_oracle.dense_scan_assignment(oriented)
+        assert_same_bytes(step2flow.solve_assignment(oriented), want)
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(BLOCK_FAMILIES), st.integers(0, 2**32 - 1))
+def test_assignment_matches_the_dense_scan_byte_for_byte(family, seed):
+    assert_matches_dense_scan(family_block(family, np.random.default_rng(seed)))
+
+
+def test_assignment_matches_the_dense_scan_on_sampled_and_stress_cells():
+    for inst in (*sampled_cells(), stress_cell()):
+        assert_matches_dense_scan(inst.c)
+
+
+@pytest.mark.parametrize("name", ROUNDING_CASES)
+def test_assignment_keeps_the_dense_scan_x_where_labels_round(name):
+    c, want = ROUNDING_CASES[name]
+    c = np.array(c)
+    assert step2flow.solve_assignment(c).tolist() == want
+    assert_matches_dense_scan(c)
+
+
+def _search_branches(blocks):
+    """Which branches of solve_assignment's search the blocks run, in both
+    orientations, seen by a line tracer."""
+    lines, first = inspect.getsourcelines(step2flow.solve_assignment)
+
+    def line_after(text):
+        found = [k for k, line in enumerate(lines) if text in line]
+        assert found, f"{text!r} is not in solve_assignment's source"
+        return first + found[0] + 1
+
+    at = {
+        "cut": line_after("if r - v_max > least:"),  # its break
+        "resume": line_after("if r - v_max > least:") + 1,  # k += 1 past the break
+        "stale": line_after("while live and live[0][0] > dist[live[0][2]]:"),
+        "equal": line_after("elif r == dist[j] and p < via[j]:"),
+    }
+    assert lines[at["resume"] - first].strip() == "k += 1"
+    seen = set()
+
+    def local_trace(frame, event, arg):
+        if event == "line":
+            for key, line in at.items():
+                if frame.f_lineno == line:
+                    # Only a row reached before the newest one scans again:
+                    # it resumes a scan that an earlier pass cut.
+                    f = frame.f_locals
+                    if key != "resume" or f["p"] < len(f["reached"]) - 1:
+                        seen.add(key)
+        return local_trace
+
+    def global_trace(frame, event, arg):
+        return local_trace if frame.f_code is step2flow.solve_assignment.__code__ else None
+
+    sys.settrace(global_trace)
+    try:
+        for c in blocks:
+            step2flow.solve_assignment(c)
+            step2flow.solve_assignment(c.T)
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+@pytest.mark.parametrize("branch", ["cut", "resume", "stale", "equal"])
+def test_the_dense_scan_inputs_reach_each_branch_of_the_search(branch):
+    # A later-reached row labels a column that an earlier row deferred
+    # only with a strictly smaller bound, so the equal-label rule fires
+    # only where rounding makes both labels equal: in ROUNDING_CASES.
+    blocks = [
+        family_block(family, np.random.default_rng(seed))
+        for family in BLOCK_FAMILIES
+        for seed in range(30)
+    ]
+    blocks += [np.array(c) for c, _ in ROUNDING_CASES.values()]
+    assert branch in _search_branches(blocks)
+
+
+# ---------------------------------------------------------------------------
 # solve_step2 against brute force
 # ---------------------------------------------------------------------------
 
@@ -843,17 +1007,21 @@ def test_step2_respects_caps():
 
 
 def test_step2_matches_scipy_assignment_at_dense_scale():
-    # Full and post-rounding residuals of full.cfg cells, far beyond brute
-    # force; continuous capacities make the optimum, hence x, unique.
+    # Full and post-rounding residuals of full.cfg cells and of the 9 x 100
+    # stress cell, far beyond brute force; continuous capacities make the
+    # optimum, hence x, unique.
     cfg = m.ScenarioConfig()  # the full.cfg scenario
-    for run_id in range(2):
-        for r_max in (0.5e9, 2e9, 8e9):
-            inst = harness.build_cell_instance(cfg, run_id, r_max)
-            first = m.round_solution(m.solve_step1_lp(inst), inst)
-            for res in (step2flow.full_residual(inst), step2flow.make_residual(inst, first)):
-                want = np.zeros(res.c.shape, dtype=int)
-                want[linear_sum_assignment(res.c, maximize=True)] = 1
-                np.testing.assert_array_equal(step2flow.solve_step2(res).x, want)
+    cells = [
+        harness.build_cell_instance(cfg, run_id, r_max)
+        for run_id in range(2)
+        for r_max in (0.5e9, 2e9, 8e9)
+    ]
+    for inst in (*cells, stress_cell()):
+        first = m.round_solution(m.solve_step1_lp(inst), inst)
+        for res in (step2flow.full_residual(inst), step2flow.make_residual(inst, first)):
+            want = np.zeros(res.c.shape, dtype=int)
+            want[linear_sum_assignment(res.c, maximize=True)] = 1
+            np.testing.assert_array_equal(step2flow.solve_step2(res).x, want)
 
 
 # (run, r_max, sha256 of the flow on the full residual, on the
