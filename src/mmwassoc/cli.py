@@ -12,15 +12,27 @@ count or exact budget; when solve is given a node budget below 1, an
 instance it cannot read, or the exact search runs out of node budget;
 or when either command cannot write to --out (simulate finds out
 before it solves any cell, solve checks its budget before it reads).
+
+`run()` is the process entry, for `python -m mmwassoc` and the `mmwassoc`
+console script: it calls `main()`, freezes the garbage collector with
+`gc.freeze()`, then exits with main's code.  While the interpreter
+finalizes it runs full collections that traverse every live object,
+about a tenth of a short `simulate` process; freezing moves those objects
+into the permanent generation, which the collections skip.  Nothing is
+lost: main has closed its output files by then, and atexit handlers,
+stream flushing and module teardown still run.  `main(argv)` is the
+in-process API for tests and library callers and never touches the
+collector.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 from . import harness, step1
 from .instance import count, instance_from_dict, solution_to_dict
@@ -97,6 +109,8 @@ def _cmd_solve(args) -> int:
         text = Path(args.instance).read_text()
     except (OSError, ValueError) as exc:
         return _error(exc)
+    import json  # here only, so a CSV sweep never loads the codec
+
     try:
         inst = instance_from_dict(json.loads(text))
     except KeyError as exc:
@@ -126,5 +140,12 @@ def main(argv=None) -> int:
     return _cmd_solve(args)
 
 
+def run() -> NoReturn:
+    """Run main() on sys.argv and exit with its code, with the collector frozen."""
+    code = main()
+    gc.freeze()  # the shutdown collections then skip every live object
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

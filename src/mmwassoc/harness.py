@@ -14,10 +14,9 @@ aggregates go through the same writer, one per output format.
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +173,7 @@ def derive_seed(base_seed: int, run_id: int, r_max_bps: float) -> int:
 
 
 def build_cell_instance(base: ScenarioConfig, run_id: int, r_max_bps: float):
-    cfg = replace(base, r_max_bps=r_max_bps, seed=derive_seed(base.seed, run_id, r_max_bps))
+    cfg = base.for_cell(r_max_bps, derive_seed(base.seed, run_id, r_max_bps))
     real = sample_scenario(cfg)
     return instance_from_capacity(build_capacity_matrix(real, cfg), real.rate_req, cfg)
 
@@ -248,7 +247,9 @@ def emit_results(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv"
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tables = {"records": [asdict(r) for r in records], "aggregates": aggregate(records)}
+    # Rows read straight from the fields: asdict would deep-copy each value.
+    record_rows = [{name: getattr(r, name) for name in RECORD_FIELDS} for r in records]
+    tables = {"records": record_rows, "aggregates": aggregate(records)}
     paths = []
     for name, rows in tables.items():
         if fmt == "csv":
@@ -256,6 +257,8 @@ def emit_results(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv"
             lines = [",".join(cols)] + [",".join(_format(row[c]) for c in cols) for row in rows]
             text = "\n".join(lines)
         else:
+            import json  # here only, so a CSV sweep never loads the codec
+
             text = json.dumps(rows, indent=1)
         path = out / f"{name}.{fmt}"
         path.write_text(text + "\n")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mmwassoc as m
@@ -281,6 +281,63 @@ def test_config_rejects_nonfinite_or_nonpositive_rates():
     for r_min, r_max in ((0.3e9, nan), (nan, 2e9), (0.3e9, inf), (0.0, 2e9), (-1e9, 2e9)):
         with pytest.raises(ValueError, match="finite"):
             m.ScenarioConfig(r_min_bps=r_min, r_max_bps=r_max)
+
+
+@st.composite
+def checked_bases(draw):
+    """A valid ScenarioConfig with random counts, rates, sigmas and seed."""
+    r_min = draw(st.floats(1.0, 1e10))
+    return m.ScenarioConfig(
+        n_bs=draw(st.integers(1, 6)),
+        n_ue=draw(st.integers(1, 12)),
+        n_bs_rf=draw(st.integers(1, 4)),
+        n_ue_rf=draw(st.integers(1, 3)),
+        bs_spacing=draw(st.floats(1.0, 1e4)),
+        r_min_bps=r_min,
+        r_max_bps=draw(st.floats(r_min, 1e11)),
+        sigma_aod_deg=draw(st.floats(0.0, 10.0)),
+        seed=draw(st.integers(0, 2**64)),
+    )
+
+
+def _outcome(make):
+    """make() as what it returns, field by field with each type, or as the
+    type and message of what it raises."""
+    try:
+        cfg = make()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(name, type(value), value) for name, value in vars(cfg).items()]
+
+
+valid_seeds = st.one_of(st.integers(0, 2**70), st.integers(0, 2**63).map(np.uint64))
+valid_r_max = st.one_of(
+    st.floats(1e10, 1e12), st.integers(10**10, 10**12), st.just(np.float64(2e10))
+)
+
+
+@given(checked_bases(), valid_r_max, valid_seeds)
+def test_for_cell_equals_replace_on_valid_values(base, r_max, seed):
+    got = base.for_cell(r_max, seed)
+    assert _outcome(lambda: got) == _outcome(lambda: replace(base, r_max_bps=r_max, seed=seed))
+    assert got == replace(base, r_max_bps=r_max, seed=seed)
+    assert base.for_cell(base.r_min_bps, 0).r_max_bps == base.r_min_bps  # the bound is inclusive
+
+
+# Each is invalid as a seed or as an r_max, most as both.
+odd_values = st.sampled_from(
+    [-1, -(2**70), 1.5, np.float64(2e10), True, False, None, "3", math.nan, math.inf, -math.inf,
+     0.0, 1.0, 10**400, np.int64(-3)]
+)  # fmt: skip
+
+
+@given(checked_bases(), st.one_of(valid_r_max, odd_values), st.one_of(valid_seeds, odd_values))
+@example(m.ScenarioConfig(), math.nan, -1)  # both bad: the seed's error comes first
+@example(m.ScenarioConfig(), 1e8, True)
+@example(m.ScenarioConfig(), 10**400, 7)
+def test_for_cell_raises_what_replace_raises(base, r_max, seed):
+    expected = _outcome(lambda: replace(base, r_max_bps=r_max, seed=seed))
+    assert _outcome(lambda: base.for_cell(r_max, seed)) == expected
 
 
 def test_config_file_round_trip(tmp_path):
