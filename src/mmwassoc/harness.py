@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,8 @@ class ExperimentSpec:
     """A full Monte Carlo comparison: sweep r_max, repeat, average.
 
     With measure_time=False (default) wall_time_ms is recorded as 0.0
-    so repeated executions produce identical bytes.
+    so repeated executions produce identical bytes.  schemes and
+    r_max_sweep are stored as tuples of plain str and plain float.
     """
 
     base: ScenarioConfig
@@ -54,10 +55,15 @@ class ExperimentSpec:
     measure_time: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, ScenarioConfig):
+            raise TypeError(f"base must be a ScenarioConfig, got {self.base!r}")
         for name in ("n_runs", "exact_node_budget"):
             object.__setattr__(self, name, count(getattr(self, name), name))
-        unknown = set(self.schemes) - set(SCHEMES)
-        if unknown:
+        for name in ("schemes", "r_max_sweep"):
+            if isinstance(v := getattr(self, name), (str, bytes)) or not hasattr(v, "__iter__"):
+                raise TypeError(f"{name} must be an iterable of values, not the single value {v!r}")
+        object.__setattr__(self, "schemes", tuple(map(str, self.schemes)))
+        if unknown := set(self.schemes) - set(SCHEMES):
             raise ValueError(f"unknown schemes {sorted(unknown)}; choose from {SCHEMES}")
         low = self.base.r_min_bps
         sweep = tuple(real(r, "r_max_sweep value", low, strict=False) for r in self.r_max_sweep)
@@ -173,7 +179,8 @@ def derive_seed(base_seed: int, run_id: int, r_max_bps: float) -> int:
 
 
 def build_cell_instance(base: ScenarioConfig, run_id: int, r_max_bps: float):
-    cfg = base.for_cell(r_max_bps, derive_seed(base.seed, run_id, r_max_bps))
+    """The cell's instance; its config is base through replace, so __post_init__ checks it."""
+    cfg = replace(base, r_max_bps=r_max_bps, seed=derive_seed(base.seed, run_id, r_max_bps))
     real = sample_scenario(cfg)
     return instance_from_capacity(build_capacity_matrix(real, cfg), real.rate_req, cfg)
 

@@ -133,19 +133,6 @@ class ScenarioConfig:
                 f"bs_spacing {self.bs_spacing} puts the BS grid's diagonal out of range"
             )
 
-    def for_cell(self, r_max_bps, seed) -> "ScenarioConfig":
-        """This config with r_max_bps and seed replaced: what
-        dataclasses.replace gives, but only those two fields are checked,
-        the seed first, as __post_init__ would check them.  Every other
-        field, the size bound and the link budget were checked when this
-        config was built and depend on neither, so a sweep's cells skip them.
-        """
-        seed = count(seed, "seed", least=0)
-        r_max_bps = real(r_max_bps, "r_max_bps", self.r_min_bps, strict=False)
-        cell = object.__new__(type(self))  # frozen: fill the field dict directly
-        cell.__dict__.update(self.__dict__, r_max_bps=r_max_bps, seed=seed)
-        return cell
-
     @property
     def n_ue_chains(self) -> int:
         return self.n_ue * self.n_ue_rf

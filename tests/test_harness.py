@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -201,6 +202,37 @@ def test_spec_rejects_nonfinite_sweep_values():
             tiny_spec(r_max_sweep=(1e9, bad))
 
 
+# Each was refused with an error that named no field, if at all: a string
+# was taken as its letters, and a float or a string sweep failed in iteration.
+@pytest.mark.parametrize(
+    "name, value, shown",
+    [
+        ("schemes", "max-snr", "'max-snr'"),
+        ("r_max_sweep", 1e9, "1000000000.0"),
+        ("r_max_sweep", "1e9", "'1e9'"),
+    ],
+)
+def test_spec_refuses_a_single_value_for_a_sequence(name, value, shown):
+    message = f"{name} must be an iterable of values, not the single value {shown}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        tiny_spec(**{name: value})
+
+
+def test_spec_refuses_a_base_that_is_not_a_config():
+    with pytest.raises(TypeError, match="^base must be a ScenarioConfig, got None$"):
+        tiny_spec(base=None)
+
+
+@pytest.mark.parametrize("schemes", [list, np.array])
+def test_spec_stores_schemes_as_a_tuple_of_plain_str(schemes):
+    # A list left the spec unhashable, and numpy's strings reached the records.
+    spec = tiny_spec(schemes=schemes(["max-snr", "max-sum-rate"]), n_runs=1)
+    assert spec.schemes == ("max-snr", "max-sum-rate")
+    assert {type(s) for s in spec.schemes} == {str}
+    assert hash(spec) == hash(tiny_spec(schemes=("max-snr", "max-sum-rate"), n_runs=1))
+    assert {type(r.scheme) for r in harness.run_experiment(spec)} == {str}
+
+
 def test_spec_and_cli_default_to_the_polynomial_schemes(tmp_path, monkeypatch):
     # The exact search is opt-in: on full.cfg every cell of a default
     # spec would run it and exhaust its node budget.
@@ -235,6 +267,23 @@ def test_run_experiment_is_deterministic():
 def test_run_experiment_measures_time_on_request():
     records = harness.run_experiment(tiny_spec(n_runs=1, measure_time=True))
     assert any(r.wall_time_ms > 0 for r in records)
+
+
+def test_every_cell_config_passes_the_config_checks(monkeypatch):
+    # A cell config built around ScenarioConfig.__post_init__ would skip
+    # every rule added there later.
+    spec = tiny_spec()  # 2 runs x 2 r_max values
+    checked = []
+    post_init = m.ScenarioConfig.__post_init__
+
+    def counted(cfg):
+        checked.append((cfg.r_max_bps, cfg.seed))
+        post_init(cfg)
+
+    monkeypatch.setattr(m.ScenarioConfig, "__post_init__", counted)
+    harness.run_experiment(spec)
+    cells = [(run_id, r) for run_id in range(2) for r in (1e9, 2e9)]
+    assert checked == [(r, harness.derive_seed(spec.base.seed, run_id, r)) for run_id, r in cells]
 
 
 def test_derive_seed_is_stable_and_distinct():

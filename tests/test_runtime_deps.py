@@ -1,14 +1,18 @@
-"""The package runs on numpy alone, as the README states."""
+"""The package runs on numpy alone, as the README states, and declares the
+Python versions its CI tests."""
 
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import mmwassoc
 
 TEST_ONLY = ("scipy", "hypothesis", "pytest")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_importing_every_module_loads_no_test_only_package():
@@ -36,3 +40,18 @@ def test_importing_every_module_loads_no_test_only_package():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _version(text):
+    return tuple(map(int, text.split(".")))
+
+
+def test_the_declared_python_floor_is_the_lowest_version_ci_tests():
+    # The pins were recorded with numpy 2.4.6 and scipy 1.17.1, which need
+    # Python 3.11; a lower floor would promise output no CI job checks.
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    matrix = re.search(r"^ *python-version: *\[(.*)\] *$", workflow, re.MULTILINE)
+    tested = [_version(v) for v in re.findall(r"\d+\.\d+", matrix.group(1))]
+    assert re.fullmatch(r">=\d+\.\d+", declared) and tested
+    assert _version(declared[2:]) == min(tested)
