@@ -265,6 +265,38 @@ def test_the_sweep_stores_a_tuple_of_floats():
     assert spec.r_max_sweep == (1e9, 2e9) and {type(r) for r in spec.r_max_sweep} == {float}
 
 
+# Each was refused with an error that named no field, if at all: a string
+# was taken as its letters, and a float or a string sweep failed in iteration.
+@pytest.mark.parametrize(
+    "name, value, shown",
+    [
+        ("schemes", "max-snr", "'max-snr'"),
+        ("r_max_sweep", 1e9, "1000000000.0"),
+        ("r_max_sweep", "1e9", "'1e9'"),
+    ],
+)
+def test_the_spec_refuses_a_single_value_for_a_sequence(name, value, shown):
+    message = f"{name} must be an iterable of values, not the single value {shown}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        harness.ExperimentSpec(m.ScenarioConfig(), **{name: value})
+
+
+def test_the_spec_refuses_a_base_that_is_not_a_config():
+    with pytest.raises(TypeError, match="^base must be a ScenarioConfig, got None$"):
+        harness.ExperimentSpec(None)
+
+
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_the_spec_stores_schemes_as_a_tuple_of_plain_str(kind):
+    # A list left the spec unhashable, and numpy's strings reached the records.
+    schemes = ("max-snr", "max-sum-rate")
+    base = m.ScenarioConfig(n_bs=2, n_ue=2)
+    spec = harness.ExperimentSpec(base, kind(schemes), n_runs=1, r_max_sweep=(1e9,))
+    assert spec.schemes == schemes and {type(s) for s in spec.schemes} == {str}
+    assert hash(spec) == hash(harness.ExperimentSpec(base, schemes, 1, (1e9,)))
+    assert {type(r.scheme) for r in harness.run_experiment(spec)} == {str}
+
+
 # ---------------------------------------------------------------------------
 # The instance door
 # ---------------------------------------------------------------------------
