@@ -60,7 +60,10 @@ class ExperimentSpec:
         for name in ("n_runs", "exact_node_budget"):
             object.__setattr__(self, name, count(getattr(self, name), name))
         for name in ("schemes", "r_max_sweep"):
-            if isinstance(v := getattr(self, name), (str, bytes)) or not hasattr(v, "__iter__"):
+            v = getattr(self, name)
+            # A 0-d numpy array has __iter__, but iterating it raises.
+            single = not hasattr(v, "__iter__") or getattr(v, "ndim", 1) == 0
+            if isinstance(v, (str, bytes)) or single:
                 raise TypeError(f"{name} must be an iterable of values, not the single value {v!r}")
         object.__setattr__(self, "schemes", tuple(map(str, self.schemes)))
         if unknown := set(self.schemes) - set(SCHEMES):

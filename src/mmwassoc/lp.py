@@ -12,12 +12,19 @@ i.e. a vertex of the feasible polytope.
 
 Input form.  A comes as SparseRows, the (row, column, value) triplets
 of its listed entries; any other a_ub raises TypeError before any other
-work.  The tableau is zero-filled once and the triplets are scattered
-into it, and only their values are checked for finiteness: no dense A
+work.  Its indices live in a TripletLayout, checked once when the
+layout is built and kept read-only, together with their flat positions
+in the tableau, computed on the first solve that reads them.  LPs of
+one sparsity pattern share one layout: layout.with_values(values)
+makes each matrix, and checks only that the values are as many as the
+indices (step 1 keeps one layout per cell shape).  The tableau is
+zero-filled once and the values are scattered into it at those
+positions, and only the values are checked for finiteness: no dense A
 is built, scanned or copied (the step-1 rows are 2.7 % nonzero on a
 full.cfg cell, 0.9 % at 9 BSs x 100 UEs).  An entry left out is +0.0,
 and a listed -0.0 (5f's -c / r_u where c == 0) is scattered as -0.0,
-so the tableau is np.asarray(A) bit for bit.
+so the tableau is np.asarray(A) bit for bit.  The inputs are only
+read, so read-only arrays pass and a shared layout stays as it is.
 
 Empty inputs take the general path, and every input is checked
 whatever its size: the shapes, the finiteness of c, A and b, b >= 0 and
@@ -74,9 +81,10 @@ allocation, as the eager simplex did, and touches only the rows it writes.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,33 +100,78 @@ class SimplexError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
+class TripletLayout:
+    """Where the listed entries of an m x n matrix lie: row and column indices.
+
+    The indices are checked once, when the layout is built: 1-D, of one
+    length, integer (a float or boolean array is rejected, since it
+    cannot index, or would index as a mask) and inside the shape.  They
+    are kept as read-only copies, so the check holds for as long as the
+    layout lives, and every SparseRows built on the layout shares them.
+    No position may be listed twice: not checked; the producers in this
+    package are tested for it.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        m, n = (operator.index(k) for k in self.shape)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        if not (rows.ndim == 1 and rows.shape == cols.shape):
+            raise ValueError("rows and cols must be 1-D and of one length")
+        if rows.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+            raise ValueError("rows and cols must be integer arrays")
+        inside = 0 <= rows.min(initial=0) and rows.max(initial=-1) < m
+        if not (inside and 0 <= cols.min(initial=0) and cols.max(initial=-1) < n):
+            raise ValueError(f"a triplet index lies outside shape ({m}, {n})")
+        for name, value in (("rows", _frozen(rows)), ("cols", _frozen(cols)), ("shape", (m, n))):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def scatter(self) -> np.ndarray:
+        """Flat index of each entry in solve_lp_max's m x (n + m) tableau."""
+        m, n = self.shape
+        return _frozen(self.rows * (n + m) + self.cols)
+
+    def with_values(self, values) -> SparseRows:
+        """The matrix with these values at the layout's positions."""
+        return SparseRows(self.rows, self.cols, values, self.shape, layout=self)
+
+
+@dataclass(frozen=True, eq=False)
 class SparseRows:
     """An m x n constraint matrix as (row, column, value) triplets.
 
-    Unlisted entries are +0.0.  No position may be listed twice: not
-    checked; the producers in this package are tested for it.  The row
-    and column indices are integer arrays: a float or boolean one is
-    rejected, since it cannot index, or would index as a mask.
-    np.asarray densifies it, so readers of dense rows take it as they are.
+    Unlisted entries are +0.0.  The indices live in a TripletLayout:
+    SparseRows(rows, cols, values, shape) builds and checks one, and
+    layout.with_values(values) shares a checked one, so only the values
+    are new; rows, cols and shape are then the layout's own.  The values
+    must be as many as the indices.  np.asarray densifies it, so readers
+    of dense rows take it as they are.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     shape: tuple[int, int]
+    layout: TripletLayout | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self) -> None:
-        m, n = (operator.index(k) for k in self.shape)
-        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        layout = self.layout
+        if layout is None:
+            layout = TripletLayout(self.rows, self.cols, self.shape)
+        elif not (self.rows is layout.rows and self.cols is layout.cols
+                  and self.shape == layout.shape):
+            raise ValueError("rows, cols and shape must be those of the layout")
         values = np.asarray(self.values, dtype=float)
-        if not (rows.ndim == 1 and rows.shape == cols.shape == values.shape):
+        if values.shape != layout.rows.shape:
             raise ValueError("rows, cols and values must be 1-D and of one length")
-        if rows.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
-            raise ValueError("rows and cols must be integer arrays")
-        inside = 0 <= rows.min(initial=0) and rows.max(initial=-1) < m
-        if not (inside and 0 <= cols.min(initial=0) and cols.max(initial=-1) < n):
-            raise ValueError(f"a triplet index lies outside shape ({m}, {n})")
-        for name, value in (("rows", rows), ("cols", cols), ("values", values), ("shape", (m, n))):
+        for name, value in (
+            ("rows", layout.rows), ("cols", layout.cols), ("values", values),
+            ("shape", layout.shape), ("layout", layout),
+        ):
             object.__setattr__(self, name, value)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -127,6 +180,13 @@ class SparseRows:
         a = np.zeros(self.shape)
         a[self.rows, self.cols] = self.values
         return a if dtype is None else a.astype(dtype, copy=False)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +237,7 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     # One zero fill, then the triplets and the slack identity by flat index.
     flat = tableau.reshape(-1)
     flat.fill(0.0)
-    flat[a_ub.rows * total + a_ub.cols] = a_ub.values
+    flat[a_ub.layout.scatter] = a_ub.values
     flat[n :: total + 1] = 1.0
     blocks = [store[m:]]  # record rows, in blocks of doubling size
     pivot_rows = []  # record p: the divided pivot row
@@ -193,6 +253,7 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
 
     iterations = 0
     stall = 0
+    piv_tol, inf = PIV_TOL, math.inf  # locals: the ratio test reads them per entry
     while True:
         # Improvement per unit step; exactly 0.0 for basic columns.
         np.multiply(obj_row, sign_of, out=gain)
@@ -226,14 +287,15 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
         # Ratio test: basic value i moves as values[i] - t * col[i], down
         # toward 0 or up toward its bound (an infinite bound gives inf).
         # Rows off the support, or inside the PIV_TOL band, never block.
-        # max(0.0, v) is +0.0 for v == -0.0, as np.maximum(v, 0.0) is.
+        # A value not above 0.0 gives +0.0, which is max(0.0, v) / ci, and
+        # for v == -0.0 np.maximum(v, 0.0) / ci too.
         ratios = [
-            max(0.0, values[i]) / ci if ci > PIV_TOL
-            else (ub[basis[i]] - values[i]) / -ci if ci < -PIV_TOL
-            else math.inf
+            (values[i] / ci if values[i] > 0.0 else 0.0) if ci > piv_tol
+            else (ub[basis[i]] - values[i]) / -ci if ci < -piv_tol
+            else inf
             for i, ci in zip(support, col)
         ]
-        r_min = min(ratios, default=math.inf)
+        r_min = min(ratios, default=inf)
         t_flip = ub[j]  # entering variable flips to its other bound
         t_star = min(t_flip, r_min)
         if not math.isfinite(t_star):
@@ -249,11 +311,11 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
 
         # Bland: among rows achieving the min ratio, smallest basic index leaves.
         window = t_star + RATIO_TIE
-        r = min((i for i, ratio in zip(support, ratios) if ratio <= window), key=basis.__getitem__)
+        r = min([i for i, ratio in zip(support, ratios) if ratio <= window], key=basis.__getitem__)
         leaving = basis[r]
         values[r] = (ub[j] if sign < 0 else 0.0) + sign * t_star
 
-        piv = column[r]
+        piv = column.item(r)
         if abs(piv) < PIV_TOL:
             raise SimplexError("numerically singular pivot")
         leaves_at_upper = sign * piv < 0
@@ -285,7 +347,7 @@ def solve_lp_max(objective, a_ub, b_ub, upper) -> LpSolution:
     # Nonbasic variables sit at a bound; a slack only ever at 0, since its
     # upper bound is infinite: it can neither flip nor leave at it.
     x_full = np.zeros(total)
-    x_full[:n] = np.where(sign_of[:n] < 0, ub_struct, 0.0)
+    np.copyto(x_full[:n], ub_struct, where=sign_of[:n] < 0)
     x_full[basis] = values
     x_struct = x_full[:n]
     if not ((x_struct >= -FEAS_TOL) & (x_struct <= ub_struct + FEAS_TOL)).all():

@@ -25,13 +25,18 @@ Solvers:
   * solve_step1_lp: box relaxation of constraints 5b, 5c, 5e and 5f,
     solved by the in-package bounded-variable simplex; an upper bound on
     the exact optimum.  The per-BS budget 5d needs no rows: 5b implies
-    it, since every BS owns exactly n_bs_rf chains.
+    it, since every BS owns exactly n_bs_rf chains.  What depends only
+    on the cell shape (the row and column indices, the constant
+    coefficients, the right-hand side and the bounds) is built once per
+    shape and kept read-only for the last _LAYOUTS_KEPT shapes; each
+    cell builds its objective and its 5f coefficients -c / r_u.
   * round_solution: greedy demand-level rounding of the fractional
     point, always feasible.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -75,6 +80,66 @@ class FractionalSolution:
 # ---------------------------------------------------------------------------
 
 
+# Cell shapes whose relaxation layout is kept: a sweep has one shape, a
+# test session a few dozen, and each layout holds a few arrays of the
+# relaxation's nonzero count (6,060 entries on a full.cfg cell).
+_LAYOUTS_KEPT = 16
+
+
+@dataclass(frozen=True, eq=False)
+class _RelaxationLayout:
+    """The relaxation rows of one cell shape, less each cell's 5f values.
+
+    triplets holds the row and column indices (lp.TripletLayout, checked
+    once), values the constant coefficients in triplet order (the 1s and
+    the -n_ue_rf of the z columns in 5e) with the 5f block of the x
+    columns left to each cell, and rhs and upper the right-hand side and
+    the variables' upper bounds.  Every array is read-only, since every
+    cell of the shape shares it.
+    """
+
+    triplets: lp.TripletLayout
+    values: np.ndarray
+    rhs: np.ndarray
+    upper: np.ndarray
+
+
+@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
+def _relaxation_layout(n_uc: int, n_bc: int, n_ue_rf: int) -> _RelaxationLayout:
+    """The layout of the cells with n_uc UE chains, n_bc BS chains and n_ue_rf chains per UE.
+
+    UE chain i belongs to UE i // n_ue_rf (the instance's rule), so the
+    three counts fix every row and column index of _relaxation_rows.
+    """
+    n_ue = n_uc // n_ue_rf
+    nx = n_uc * n_bc
+    row_5e = n_bc + n_uc
+    row_5f = row_5e + n_ue
+    # Each x column has one entry in each of the blocks 5b, 5c, 5e and 5f
+    # (the first 4 * nx triplets, block by block), each z column one 5e and
+    # one 5f entry (the last 2 * n_ue).
+    nnz = 4 * nx + 2 * n_ue
+    rows = np.empty(nnz, dtype=np.intp)
+    x_rows = rows[: 4 * nx].reshape(4, n_uc, n_bc)
+    x_rows[0] = np.arange(n_bc)  # 5b: BS chain serves <= 1 UE chain
+    x_rows[1] = np.arange(n_bc, row_5e)[:, None]  # 5c: UE chain uses <= 1 BS chain
+    ue_of_chain = np.arange(n_uc) // n_ue_rf
+    x_rows[2] = (row_5e + ue_of_chain)[:, None]  # 5e: links only when flagged, <= n_ue_rf
+    x_rows[3] = x_rows[2] + n_ue  # 5f: flagged UEs meet r_u
+    rows[4 * nx :] = np.arange(row_5e, row_5f + n_ue)
+    cols = np.empty(nnz, dtype=np.intp)
+    cols[: 4 * nx].reshape(4, nx)[:] = np.arange(nx)
+    cols[4 * nx :].reshape(2, n_ue)[:] = np.arange(nx, nx + n_ue)
+    values = np.ones(nnz)
+    values[4 * nx : 4 * nx + n_ue] = -float(n_ue_rf)
+    rhs = np.concatenate([np.ones(n_bc + n_uc), np.zeros(2 * n_ue)])
+    upper = np.ones(nx + n_ue)
+    for a in (values, rhs, upper):
+        a.flags.writeable = False
+    triplets = lp.TripletLayout(rows, cols, (row_5f + n_ue, nx + n_ue))
+    return _RelaxationLayout(triplets, values, rhs, upper)
+
+
 def _relaxation_rows(inst: AssociationInstance) -> tuple[lp.SparseRows, np.ndarray]:
     """Constraint rows 5b, 5c, 5e, 5f over variables [x (row-major), z].
 
@@ -89,41 +154,31 @@ def _relaxation_rows(inst: AssociationInstance) -> tuple[lp.SparseRows, np.ndarr
     full.cfg cell's 145 x 1530 matrix).  Every x column lists its 5f
     entry, so -c / r_u is kept as -0.0 where c == 0 and np.asarray of the
     triplets equals the dense rows bit for bit.
+
+    Built per cell shape, once (_relaxation_layout): the row and column
+    indices, the constant coefficients, the right-hand side, returned
+    as is, and the upper bounds.  Built per cell: a copy of the
+    coefficients with the 5f block of the x columns, -c / r_u, written
+    into it, on the shape's checked indices.
     """
     n_uc, n_bc = inst.c.shape
-    n_ue = inst.n_ue
+    layout = _relaxation_layout(n_uc, n_bc, inst.n_ue_rf)
     nx = n_uc * n_bc
-    row_5e = n_bc + n_uc
-    row_5f = row_5e + n_ue
-    # Each x column has one entry in each of the blocks 5b, 5c, 5e and 5f
-    # (the first 4 * nx triplets, block by block), each z column one 5e and
-    # one 5f entry (the last 2 * n_ue).
-    nnz = 4 * nx + 2 * n_ue
-    rows = np.empty(nnz, dtype=np.intp)
-    x_rows = rows[: 4 * nx].reshape(4, n_uc, n_bc)
-    x_rows[0] = np.arange(n_bc)  # 5b: BS chain serves <= 1 UE chain
-    x_rows[1] = np.arange(n_bc, row_5e)[:, None]  # 5c: UE chain uses <= 1 BS chain
-    x_rows[2] = (row_5e + inst.ue_of_chain)[:, None]  # 5e: links only when flagged, <= n_ue_rf
-    x_rows[3] = x_rows[2] + n_ue  # 5f: flagged UEs meet r_u
-    rows[4 * nx :] = np.arange(row_5e, row_5f + n_ue)
-    cols = np.empty(nnz, dtype=np.intp)
-    cols[: 4 * nx].reshape(4, nx)[:] = np.arange(nx)
-    cols[4 * nx :].reshape(2, n_ue)[:] = np.arange(nx, nx + n_ue)
-    values = np.ones(nnz)
+    values = layout.values.copy()
     x_5f = values[3 * nx : 4 * nx].reshape(n_uc, n_bc)
     np.divide(-inst.c, inst.rate_req[inst.ue_of_chain][:, None], out=x_5f)
-    values[4 * nx : 4 * nx + n_ue] = -float(inst.n_ue_rf)
-    rhs = np.concatenate([np.ones(n_bc + n_uc), np.zeros(2 * n_ue)])
-    return lp.SparseRows(rows, cols, values, (row_5f + n_ue, nx + n_ue)), rhs
+    return layout.triplets.with_values(values), layout.rhs
 
 
 def solve_step1_lp(inst: AssociationInstance) -> FractionalSolution:
     """Optimum of the box relaxation; an upper bound on any binary solution."""
     n_uc, n_bc = inst.c.shape
     nx = n_uc * n_bc
-    objective = np.concatenate([-link_weights(inst).ravel(), np.ones(inst.n_ue)])
+    objective = np.ones(nx + inst.n_ue)
+    np.negative(link_weights(inst).ravel(), out=objective[:nx])
     a_ub, b_ub = _relaxation_rows(inst)
-    res = lp.solve_lp_max(objective, a_ub, b_ub, np.ones(nx + inst.n_ue))
+    upper = _relaxation_layout(n_uc, n_bc, inst.n_ue_rf).upper
+    res = lp.solve_lp_max(objective, a_ub, b_ub, upper)
     lhs = np.bincount(a_ub.rows, weights=a_ub.values * res.x[a_ub.cols], minlength=b_ub.size)
     residual = lhs - b_ub
     if not residual.max(initial=0.0) <= FEAS_TOL:  # a NaN residual fails too

@@ -281,6 +281,17 @@ def test_the_spec_refuses_a_single_value_for_a_sequence(name, value, shown):
         harness.ExperimentSpec(m.ScenarioConfig(), **{name: value})
 
 
+# A 0-d numpy array has __iter__, so it passed the single-value check and
+# failed in numpy's "iteration over a 0-d array", which names no field.
+@pytest.mark.parametrize(
+    "name, value", [("schemes", np.array("max-snr")), ("r_max_sweep", np.array(1e9))]
+)
+def test_the_spec_refuses_a_0d_array_for_a_sequence(name, value):
+    message = f"{name} must be an iterable of values, not the single value {value!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        harness.ExperimentSpec(m.ScenarioConfig(), **{name: value})
+
+
 def test_the_spec_refuses_a_base_that_is_not_a_config():
     with pytest.raises(TypeError, match="^base must be a ScenarioConfig, got None$"):
         harness.ExperimentSpec(None)

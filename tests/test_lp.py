@@ -394,6 +394,55 @@ def test_deferred_updates_match_the_eager_oracle(family, seed):
     assert got.x.tobytes() == ref.x.tobytes()
 
 
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("step1",))
+def test_solve_reads_its_inputs_and_accepts_them_read_only(family):
+    # A relaxation layout's indices, rhs and bounds are shared by every cell
+    # of a shape, so a solve must take them read-only and leave every input
+    # byte for byte as it was.
+    for seed in range(10):
+        if family == "step1":
+            cfg = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
+            inst = harness.build_cell_instance(cfg, seed, 2e9)
+            a_ub, b = step1._relaxation_rows(inst)
+            u = step1._relaxation_layout(*inst.c.shape, inst.n_ue_rf).upper
+            c = np.concatenate([-step1.link_weights(inst).ravel(), np.ones(inst.n_ue)])
+        else:
+            c, a, b, u = _family_lp(family, np.random.default_rng(seed))
+            a_ub = sparse_rows(a)
+        c, b, u = _read_only(c), _read_only(b), _read_only(u)
+        a_ub = a_ub.layout.with_values(_read_only(a_ub.values))
+        inputs = (c, a_ub.rows, a_ub.cols, a_ub.values, a_ub.layout.scatter, b, u)
+        assert not any(x.flags.writeable for x in inputs)
+        before = [x.tobytes() for x in inputs]
+        got = lp.solve_lp_max(c, a_ub, b, u)
+        assert [x.tobytes() for x in inputs] == before
+        fresh = lp.SparseRows(a_ub.rows, a_ub.cols, a_ub.values.copy(), a_ub.shape)
+        writable = lp.solve_lp_max(c.copy(), fresh, b.copy(), u.copy())
+        assert (got.iterations, got.x.tobytes()) == (writable.iterations, writable.x.tobytes())
+
+
+def test_a_layout_checks_its_indices_once_and_each_matrix_its_values():
+    layout = lp.TripletLayout(np.array([0, 1]), np.array([2, 0]), (2, 3))
+    assert layout.scatter.tolist() == [0 * 5 + 2, 1 * 5 + 0]  # rows * (n + m) + cols
+    first, second = layout.with_values([1.0, 2.0]), layout.with_values([3.0, -0.0])
+    assert first.layout is second.layout is layout and first.rows is second.rows is layout.rows
+    assert np.asarray(second).tobytes() == np.array([[0.0, 0.0, 3.0], [-0.0, 0.0, 0.0]]).tobytes()
+    with pytest.raises(ValueError, match="one length"):
+        layout.with_values([1.0])
+    with pytest.raises(ValueError, match="of the layout"):
+        lp.SparseRows(np.array([0, 1]), layout.cols, [1.0, 1.0], (2, 3), layout=layout)
+    rows = np.array([0, 1])
+    copied = lp.SparseRows(rows, np.array([2, 0]), [1.0, 1.0], (2, 3))
+    rows[0] = 5  # the caller's array: the checked copy does not follow it
+    assert copied.rows.tolist() == [0, 1] and not copied.rows.flags.writeable
+
+
 def _branches_taken(lps):
     """Which branches of lp.solve_lp_max the LPs run, seen by a line tracer."""
     lines, first = inspect.getsourcelines(lp.solve_lp_max)

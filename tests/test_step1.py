@@ -725,6 +725,55 @@ def test_relaxation_triplets_densify_to_the_dense_rows(kind):
     assert negative_zeros > 0 or kind != "random"
 
 
+def test_a_sweep_builds_one_relaxation_layout_per_cell_shape():
+    # Named before the run: the 40 cells of a desk sweep share one shape,
+    # so the sweep builds one layout; a full.cfg cell has another shape
+    # and builds a second.
+    desk_builds, full_builds = 1, 2
+    step1._relaxation_layout.cache_clear()
+    desk = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
+    spec = harness.ExperimentSpec(desk, ("two-step-proposed",), n_runs=8)
+    assert len(harness.run_experiment(spec)) == 40
+    assert step1._relaxation_layout.cache_info().misses == desk_builds
+    full = m.ScenarioConfig.from_config_file(CONFIGS / "full.cfg")
+    m.solve_step1_lp(harness.build_cell_instance(full, 0, 2e9))
+    info = step1._relaxation_layout.cache_info()
+    assert (info.misses, info.currsize) == (full_builds, full_builds)
+    assert info.maxsize == step1._LAYOUTS_KEPT
+
+
+def test_cells_of_one_shape_share_the_indices_but_not_the_values():
+    desk = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
+    cells = (harness.build_cell_instance(desk, 0, r_max) for r_max in (1e9, 2e9))
+    (a1, b1), (a2, b2) = map(step1._relaxation_rows, cells)
+    assert a1.layout is a2.layout and a1.rows is a2.rows and a1.cols is a2.cols and b1 is b2
+    assert not np.shares_memory(a1.values, a2.values)
+    assert a1.values.tobytes() != a2.values.tobytes()
+
+
+def test_the_relaxation_layout_arrays_are_read_only():
+    desk = m.ScenarioConfig.from_config_file(CONFIGS / "desk.cfg")
+    inst = harness.build_cell_instance(desk, 0, 1e9)
+    layout = step1._relaxation_layout(*inst.c.shape, inst.n_ue_rf)
+    a, b = step1._relaxation_rows(inst)
+    shared = {
+        "rows": layout.triplets.rows,
+        "cols": layout.triplets.cols,
+        "scatter": layout.triplets.scatter,
+        "values": layout.values,
+        "rhs": layout.rhs,
+        "upper": layout.upper,
+        "SparseRows.rows": a.rows,
+        "SparseRows.cols": a.cols,
+        "b_ub": b,
+    }
+    for name, array in shared.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+        assert not array.flags.writeable, name
+    a.values[0] = a.values[0]  # a cell's own values stay writable
+
+
 def test_step1_lp_never_holds_a_dense_constraint_matrix():
     # tracemalloc peak of one full.cfg cell (145 x 1530 rows): the simplex
     # store of 2m x (n + m) float64, plus less than half of one dense m x n
