@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, permutations
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +87,7 @@ class FractionalSolution:
 _LAYOUTS_KEPT = 16
 
 
-@dataclass(frozen=True, eq=False)
-class _RelaxationLayout:
+class _RelaxationLayout(NamedTuple):
     """The relaxation rows of one cell shape, less each cell's 5f values.
 
     triplets holds the row and column indices (lp.TripletLayout, checked
@@ -95,7 +95,9 @@ class _RelaxationLayout:
     the -n_ue_rf of the z columns in 5e) with the 5f block of the x
     columns left to each cell, and rhs and upper the right-hand side and
     the variables' upper bounds.  Every array is read-only, since every
-    cell of the shape shares it.
+    cell of the shape shares it.  A NamedTuple, not a dataclass: every
+    process that imports the package builds the class, and a dataclass
+    costs several times as much to build.
     """
 
     triplets: lp.TripletLayout
