@@ -36,10 +36,9 @@ Solvers:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, combinations, permutations
 from operator import add
 from typing import NamedTuple
@@ -106,7 +105,7 @@ class _RelaxationLayout(NamedTuple):
     upper: np.ndarray
 
 
-@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
+@lru_cache(maxsize=_LAYOUTS_KEPT)
 def _relaxation_layout(n_uc: int, n_bc: int, n_ue_rf: int) -> _RelaxationLayout:
     """The layout of the cells with n_uc UE chains, n_bc BS chains and n_ue_rf chains per UE.
 
