@@ -80,8 +80,8 @@ class FractionalSolution:
 # ---------------------------------------------------------------------------
 
 
-# Cell shapes whose relaxation layout is kept: a sweep has one shape, a
-# test session a few dozen, and each layout holds a few arrays of the
+# Cell shapes whose relaxation layout is kept: a sweep has one shape,
+# the test suite a few dozen, and each layout holds a few arrays of the
 # relaxation's nonzero count (6,060 entries on a full.cfg cell).
 _LAYOUTS_KEPT = 16
 
